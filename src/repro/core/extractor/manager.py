@@ -38,6 +38,15 @@ extracts sources concurrently with a thread pool (``asyncio`` mode
 selects the :class:`~repro.core.extractor.AsyncExtractorManager`
 subclass instead — see ``docs/async.md``), and ``cache=FragmentCache()``
 reuses fragments across queries until explicitly invalidated.
+
+The per-source / per-entry / per-attempt policy loop is written once,
+as coroutines on :class:`ExtractorManager`, for every engine.  Its only
+await points are three I/O seams — running a rule, sleeping a backoff
+and acquiring a single-flight cache slot.  Here the seams block and
+never suspend, so the serial and thread engines drive the loop with
+:func:`_run_blocking`; the asyncio engine overrides the seams to await
+and schedules the same coroutines as tasks on its event loop.  A policy
+change is therefore made in one place and holds for all engines.
 """
 
 from __future__ import annotations
@@ -47,8 +56,8 @@ import logging
 import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, replace
+from typing import Any, Coroutine
 
 from ...errors import (CircuitOpenError, DeadlineExceededError, S2SError,
                        TransientSourceError)
@@ -58,9 +67,8 @@ from ...obs.trace import NullSpan, Span
 from ..mapping.attributes import MappingEntry
 from ..mapping.datasources import DataSourceRepository
 from ..mapping.repository import AttributeRepository
-from ..resilience import (UNSET, CircuitBreakerRegistry, Deadline,
-                          RetryBudget, SourceHealth, SourceHealthRegistry,
-                          legacy_kwargs_to_config)
+from ..resilience import (CircuitBreakerRegistry, Deadline, RetryBudget,
+                          SourceHealth, SourceHealthRegistry)
 from ..resilience.config import ResilienceConfig
 from .cache import FragmentCache
 from .extractors import ExtractorRegistry
@@ -71,6 +79,26 @@ from .schema import ExtractionSchema
 AnySpan = Span | NullSpan
 
 logger = logging.getLogger("repro.core.extractor")
+
+
+class _SeamSuspendedError(RuntimeError):
+    """A coroutine driven by :func:`_run_blocking` really suspended."""
+
+
+def _run_blocking(coro: Coroutine[Any, Any, Any]) -> Any:
+    """Run a coroutine whose await points all complete without suspending.
+
+    The blocking seams finish on the first ``send``; a coroutine that
+    yields instead awaits something only an event loop can resume, so it
+    is closed and reported rather than left to hang."""
+    try:
+        coro.send(None)
+    except StopIteration as done:
+        return done.value
+    coro.close()
+    raise _SeamSuspendedError(
+        "an extraction seam suspended under the blocking driver; "
+        "awaiting seams need the asyncio engine")
 
 
 @dataclass
@@ -156,13 +184,9 @@ class ExtractorManager:
                  *, strict: bool = False,
                  cache: FragmentCache | None = None,
                  resilience: ResilienceConfig | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 parallel: Any = UNSET, max_workers: Any = UNSET,
-                 retries: Any = UNSET, retry_delay: Any = UNSET) -> None:
-        self.config = legacy_kwargs_to_config(
-            resilience, parallel=parallel, max_workers=max_workers,
-            retries=retries, retry_delay=retry_delay,
-            owner="ExtractorManager")
+                 metrics: MetricsRegistry | None = None) -> None:
+        self.config = (replace(resilience) if resilience is not None
+                       else ResilienceConfig.conservative())
         self.attributes = attributes
         self.sources = sources
         self.extractors = extractors or ExtractorRegistry()
@@ -187,26 +211,6 @@ class ExtractorManager:
             "circuit breaker state transitions").inc(
                 source=source_id, from_state=old, to_state=new)
 
-    # -- legacy accessors (pre-ResilienceConfig API) -----------------------
-
-    @property
-    def parallel(self) -> bool:
-        return self.config.parallel
-
-    @property
-    def max_workers(self) -> int | None:
-        return self.config.max_workers
-
-    @property
-    def retries(self) -> int:
-        return self.config.retry.retries
-
-    @property
-    def retry_delay(self) -> float:
-        return self.config.retry.base_delay
-
-    # ----------------------------------------------------------------------
-
     def obtain_extraction_schema(self,
                                  required: list[AttributePath]
                                  ) -> ExtractionSchema:
@@ -227,44 +231,14 @@ class ExtractorManager:
         (the batch executor shares one between planning and result
         projection) pass it in instead of rebuilding it."""
         started = time.perf_counter()
-        if schema is None:
-            schema = self.obtain_extraction_schema(required)
-        if deadline is None:
-            deadline = Deadline(self.config.deadline_seconds,
-                                self.config.clock)
-        elif not isinstance(deadline, Deadline):
-            deadline = Deadline(float(deadline), self.config.clock)
-        ctx = _RunContext(schema, deadline,
-                          RetryBudget(self.config.retry.budget),
-                          SourceHealthRegistry(),
-                          cache_generation=(self.cache.generation
-                                            if self.cache is not None else 0))
-        outcome = ExtractionOutcome(missing_attributes=list(schema.missing),
-                                    deadline_seconds=deadline.seconds)
-
-        source_ids = schema.source_ids()
-        span.annotate(sources=len(source_ids),
-                      entries=schema.entry_count(),
-                      parallel=self.config.parallel)
-        if self.config.parallel and len(source_ids) > 1:
+        ctx, outcome, source_ids = self._start_run(required, deadline,
+                                                   schema, span)
+        if self.config.concurrency.parallel and len(source_ids) > 1:
             results = self._extract_parallel(source_ids, ctx, outcome, span)
         else:
-            results = [self._extract_source(sid, schema.by_source[sid], ctx,
-                                            span)
+            results = [self._extract_source_blocking(sid, ctx, span)
                        for sid in source_ids]
-
-        for result in sorted(results, key=lambda r: r.source_id):
-            outcome.problems.extend(result.problems)
-            if result.record_set is not None and result.record_set.fragments:
-                outcome.record_sets[result.source_id] = result.record_set
-            outcome.per_source_seconds[result.source_id] = result.elapsed
-        self._stamp_breaker_states(ctx.health)
-        outcome.health = ctx.health.snapshot()
-        self.health.merge_from(ctx.health)
-        outcome.elapsed_seconds = time.perf_counter() - started
-        if self.metrics is not None:
-            self._record_outcome_metrics(outcome)
-        return outcome
+        return self._finish_run(results, ctx, outcome, started)
 
     async def extract_async(self, required: list[AttributePath],
                             *, deadline: Deadline | float | None = None,
@@ -289,6 +263,62 @@ class ExtractorManager:
         The middleware calls this when a mapping reload replaces the
         manager; the asyncio subclass uses it to stop its private event
         loop."""
+
+    # -- one run: set-up, fold, deadline misses (every engine) -------------
+
+    def _start_run(self, required: list[AttributePath],
+                   deadline: Deadline | float | None,
+                   schema: ExtractionSchema | None, span: AnySpan
+                   ) -> tuple[_RunContext, ExtractionOutcome, list[str]]:
+        """Build the per-run context and the empty outcome to fill."""
+        if schema is None:
+            schema = self.obtain_extraction_schema(required)
+        if deadline is None:
+            deadline = Deadline(self.config.deadline_seconds,
+                                self.config.clock)
+        elif not isinstance(deadline, Deadline):
+            deadline = Deadline(float(deadline), self.config.clock)
+        ctx = _RunContext(schema, deadline,
+                          RetryBudget(self.config.retry.budget),
+                          SourceHealthRegistry(),
+                          cache_generation=(self.cache.generation
+                                            if self.cache is not None else 0))
+        outcome = ExtractionOutcome(missing_attributes=list(schema.missing),
+                                    deadline_seconds=deadline.seconds)
+        source_ids = schema.source_ids()
+        span.annotate(sources=len(source_ids),
+                      entries=schema.entry_count(),
+                      parallel=self.config.concurrency.parallel)
+        return ctx, outcome, source_ids
+
+    def _finish_run(self, results: list[_SourceResult], ctx: _RunContext,
+                    outcome: ExtractionOutcome,
+                    started: float) -> ExtractionOutcome:
+        """Fold per-source results (in source order) into the outcome."""
+        for result in sorted(results, key=lambda r: r.source_id):
+            outcome.problems.extend(result.problems)
+            if result.record_set is not None and result.record_set.fragments:
+                outcome.record_sets[result.source_id] = result.record_set
+            outcome.per_source_seconds[result.source_id] = result.elapsed
+        self._stamp_breaker_states(ctx.health)
+        outcome.health = ctx.health.snapshot()
+        self.health.merge_from(ctx.health)
+        outcome.elapsed_seconds = time.perf_counter() - started
+        if self.metrics is not None:
+            self._record_outcome_metrics(outcome)
+        return outcome
+
+    @staticmethod
+    def _report_unfinished(source_id: str, ctx: _RunContext,
+                           outcome: ExtractionOutcome) -> None:
+        """Record a source whose worker or task missed the deadline."""
+        ctx.health.for_source(source_id).deadline_hits += 1
+        outcome.problems.append(ExtractionProblem(
+            source_id, None,
+            f"source did not complete within the "
+            f"{ctx.deadline.seconds:.3f}s extraction deadline"))
+        outcome.per_source_seconds.setdefault(
+            source_id, ctx.deadline.seconds or 0.0)
 
     def _record_outcome_metrics(self, outcome: ExtractionOutcome) -> None:
         metrics = self.metrics
@@ -349,8 +379,8 @@ class ExtractorManager:
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
             futures = {
-                pool.submit(self._extract_source, sid,
-                            ctx.schema.by_source[sid], ctx, span): sid
+                pool.submit(self._extract_source_blocking, sid, ctx,
+                            span): sid
                 for sid in source_ids}
             timeout = (None if ctx.deadline.unbounded
                        else max(ctx.deadline.remaining(), 0.05))
@@ -361,14 +391,7 @@ class ExtractorManager:
                 results.append(future.result())  # re-raises in strict mode
             for future in not_done:
                 future.cancel()
-                source_id = futures[future]
-                ctx.health.for_source(source_id).deadline_hits += 1
-                outcome.problems.append(ExtractionProblem(
-                    source_id, None,
-                    f"source did not complete within the "
-                    f"{ctx.deadline.seconds:.3f}s extraction deadline"))
-                outcome.per_source_seconds.setdefault(
-                    source_id, ctx.deadline.seconds or 0.0)
+                self._report_unfinished(futures[future], ctx, outcome)
         finally:
             # Never join abandoned workers: they police the deadline
             # themselves and exit on their next check.
@@ -384,9 +407,35 @@ class ExtractorManager:
             record.breaker_state = breaker.state
             record.breaker_trips = breaker.open_count
 
-    def _extract_source(self, source_id: str, entries: list[MappingEntry],
-                        ctx: _RunContext,
-                        parent_span: AnySpan = NULL_SPAN) -> _SourceResult:
+    # -- the I/O seams: the only await points of the policy loop -----------
+    #
+    # Here they block and never suspend, so the serial and thread engines
+    # run the loop below with _run_blocking(); AsyncExtractorManager
+    # overrides all three to await instead.
+
+    async def _run_rule(self, extractor, source,
+                        entry: MappingEntry) -> RawFragment:
+        return extractor.extract(source, entry)
+
+    async def _sleep(self, seconds: float) -> None:
+        self.config.clock.sleep(seconds)
+
+    async def _acquire(self, entry: MappingEntry
+                       ) -> tuple[RawFragment | None, bool]:
+        return self.cache.acquire(entry)
+
+    # -- the policy loop: per source, per entry, per attempt ---------------
+
+    def _extract_source_blocking(self, source_id: str, ctx: _RunContext,
+                                 span: AnySpan) -> _SourceResult:
+        """:meth:`_extract_source` driven to completion on this thread."""
+        return _run_blocking(self._extract_source(
+            source_id, ctx.schema.by_source[source_id], ctx, span))
+
+    async def _extract_source(self, source_id: str,
+                              entries: list[MappingEntry], ctx: _RunContext,
+                              parent_span: AnySpan = NULL_SPAN
+                              ) -> _SourceResult:
         """Steps 3 and 4 for one source."""
         started = time.perf_counter()
         problems: list[ExtractionProblem] = []
@@ -421,14 +470,14 @@ class ExtractorManager:
                     if self.cache is not None:
                         # Single-flight: a concurrent identical scan either
                         # serves us its result or elects us leader.
-                        cached, leading = self.cache.acquire(entry)
+                        cached, leading = await self._acquire(entry)
                         if cached is not None:
                             entry_span.annotate(cache="hit")
                             record_set.add(cached)
                             continue
                         entry_span.annotate(cache="miss")
                     try:
-                        fragment = self._extract_entry(
+                        fragment = await self._extract_entry(
                             source_id, source, extractor, entry, ctx,
                             entry_span)  # step 4
                     except DeadlineExceededError as exc:
@@ -464,9 +513,9 @@ class ExtractorManager:
                 span.annotate(problems=len(problems))
             span.finish()
 
-    def _extract_entry(self, source_id: str, source, extractor,
-                       entry: MappingEntry, ctx: _RunContext,
-                       span: AnySpan = NULL_SPAN) -> RawFragment:
+    async def _extract_entry(self, source_id: str, source, extractor,
+                             entry: MappingEntry, ctx: _RunContext,
+                             span: AnySpan = NULL_SPAN) -> RawFragment:
         """One mapping entry: primary attempt chain, then replicas.
 
         Failover engages when the primary's retries are exhausted or its
@@ -474,8 +523,8 @@ class ExtractorManager:
         a mapping bug the replica's own rule would not fix) and not once
         the deadline has expired."""
         try:
-            return self._call_with_policy(source_id, source, extractor,
-                                          entry, ctx, span)
+            return await self._call_with_policy(source_id, source, extractor,
+                                                entry, ctx, span)
         except DeadlineExceededError:
             raise
         except (TransientSourceError, CircuitOpenError) as primary_error:
@@ -490,7 +539,7 @@ class ExtractorManager:
                     replica_source = self.sources.get(replica.source_id)
                     replica_extractor = self.extractors.for_source(
                         replica_source)
-                    fragment = self._call_with_policy(
+                    fragment = await self._call_with_policy(
                         replica.source_id, replica_source, replica_extractor,
                         replica, ctx, failover_span)
                 except S2SError as exc:
@@ -506,9 +555,9 @@ class ExtractorManager:
                                    fragment.values)
             raise primary_error
 
-    def _call_with_policy(self, source_id: str, source, extractor,
-                          entry: MappingEntry, ctx: _RunContext,
-                          span: AnySpan = NULL_SPAN) -> RawFragment:
+    async def _call_with_policy(self, source_id: str, source, extractor,
+                                entry: MappingEntry, ctx: _RunContext,
+                                span: AnySpan = NULL_SPAN) -> RawFragment:
         """One rule execution under retry policy, breaker and deadline.
 
         Only :class:`~repro.errors.TransientSourceError` is retried —
@@ -538,7 +587,7 @@ class ExtractorManager:
             attempt_span = span.child("attempt", number=attempt + 1,
                                       source=source_id)
             try:
-                fragment = extractor.extract(source, entry)
+                fragment = await self._run_rule(extractor, source, entry)
             except TransientSourceError as exc:
                 attempt_span.fail(str(exc))
                 attempt_span.annotate(outcome="transient-error")
@@ -565,7 +614,7 @@ class ExtractorManager:
                             source=source_id)
                 if delay > 0:
                     with span.child("backoff", seconds=round(delay, 6)):
-                        self.config.clock.sleep(ctx.deadline.clamp(delay))
+                        await self._sleep(ctx.deadline.clamp(delay))
                 continue
             except S2SError as exc:
                 attempt_span.fail(str(exc))

@@ -153,7 +153,7 @@ def _discover_xml(source) -> list[FieldDescriptor]:
 
 
 def _discover_web(source) -> list[FieldDescriptor]:
-    from ...sources.web.html import parse_html
+    from ...webl.html import parse_html
     markup = source.web.fetch(source.url)
     document = parse_html(markup)
     descriptors = []

@@ -44,8 +44,8 @@ from .extractor.cache import FragmentCache
 from .extractor.extractors import Extractor, ExtractorRegistry
 from .extractor.manager import ExtractionOutcome, ExtractorManager
 from .ingest import IngestJob, IngestReport, IngestTarget, ShardCoordinator
-from .resilience.config import (UNSET, ConcurrencyConfig, ResilienceConfig,
-                                coerce_concurrency, legacy_kwargs_to_config)
+from .resilience.config import (ConcurrencyConfig, ResilienceConfig,
+                                coerce_concurrency)
 from .resilience.health import SourceHealth
 from .instances.outputs import OUTPUT_FORMATS
 from .mapping.attributes import MappingEntry
@@ -105,9 +105,8 @@ class S2SMiddleware:
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
                  store: "SemanticStore | RefreshPolicy | bool | None" = None,
-                 concurrency: "ConcurrencyConfig | str | None" = None,
-                 parallel: Any = UNSET, max_workers: Any = UNSET,
-                 retries: Any = UNSET, retry_delay: Any = UNSET) -> None:
+                 concurrency: "ConcurrencyConfig | str | None" = None
+                 ) -> None:
         self.ontology = ontology
         self.schema = OntologySchema(ontology)
         self.attribute_repository = AttributeRepository()
@@ -120,13 +119,12 @@ class S2SMiddleware:
         self._metrics = metrics if metrics is not None else DEFAULT_REGISTRY
         self.cache = (FragmentCache(metrics=self._metrics)
                       if cache_extractions else None)
-        self.resilience = legacy_kwargs_to_config(
-            resilience, parallel=parallel, max_workers=max_workers,
-            retries=retries, retry_delay=retry_delay, owner="S2SMiddleware")
+        self.resilience = (replace(resilience) if resilience is not None
+                           else ResilienceConfig.conservative())
         concurrency_config = coerce_concurrency(concurrency)
         if concurrency_config is not None:
             # `concurrency=` is the one engine knob; it wins over whatever
-            # the resilience config (or a legacy kwarg) said.
+            # the resilience config said.
             self.resilience = replace(self.resilience,
                                       concurrency=concurrency_config)
         self.store = self._build_store(store)

@@ -13,8 +13,8 @@ degrade gracefully instead of amplifying downstream flakiness:
   parallel extraction;
 * :class:`SourceHealth` / :class:`SourceHealthRegistry` — the per-source
   ledger surfaced on ``ExtractionOutcome`` and ``QueryResult``;
-* :class:`ResilienceConfig` — the single knob object replacing the old
-  ``retries``/``retry_delay``/``parallel``/``max_workers`` kwargs;
+* :class:`ResilienceConfig` — the single knob object for all of the
+  above;
 * :class:`ConcurrencyConfig` — the fan-out engine selector
   (``serial`` | ``thread`` | ``asyncio``) plus the thread-pool bound,
   carried on :class:`ResilienceConfig`.
@@ -28,8 +28,7 @@ import warnings
 from ...clock import Clock, FakeClock, SystemClock
 from .breaker import (CLOSED, HALF_OPEN, OPEN, BreakerPolicy, CircuitBreaker,
                       CircuitBreakerRegistry, TransitionListener)
-from .config import (DEFAULT_WORKER_CAP, UNSET, coerce_concurrency,
-                     legacy_kwargs_to_config)
+from .config import DEFAULT_WORKER_CAP, coerce_concurrency
 from .deadline import Deadline
 from .health import SourceHealth, SourceHealthRegistry
 from .retry import RetryBudget, RetryPolicy
@@ -57,5 +56,5 @@ __all__ = [
     "Deadline", "ResilienceConfig", "RetryBudget", "RetryPolicy",
     "SourceHealth", "SourceHealthRegistry",
     "TransitionListener",
-    "UNSET", "coerce_concurrency", "legacy_kwargs_to_config",
+    "coerce_concurrency",
 ]

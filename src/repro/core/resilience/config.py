@@ -1,23 +1,19 @@
 """One knob object for the whole resilience layer.
 
-The seed's ``ExtractorManager``/``S2SMiddleware`` grew a kwarg per
-behaviour (``retries``, ``retry_delay``, ``parallel``, ``max_workers``);
-:class:`ResilienceConfig` replaces them with a single dataclass the
-caller can build once and share.  The old kwargs survive as a deprecated
-shim (see :func:`legacy_kwargs_to_config`) with their exact seed-era
-semantics.
+:class:`ResilienceConfig` carries every behaviour the Extractor
+Manager's policy loop reads — retry policy, breaker policy, deadline,
+failover and the clock — in one dataclass the caller builds once and
+shares.  :meth:`RetryPolicy.from_legacy` spells the seed's fixed-delay
+retry pair.
 
-Fan-out shape is its own sub-config since the asyncio engine landed:
-:class:`ConcurrencyConfig` names the engine (``serial`` | ``thread`` |
-``asyncio``) and the thread pool bound in one frozen value, replacing
-the scattered ``parallel=``/``max_workers=`` pair (which remain as
-DeprecationWarning shims on :class:`ResilienceConfig` itself).
+Fan-out shape is its own sub-config: :class:`ConcurrencyConfig` names
+the engine (``serial`` | ``thread`` | ``asyncio`` | ``sharded``) and the
+thread pool bound in one frozen value.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from ...clock import Clock, SystemClock
@@ -136,9 +132,8 @@ class ConcurrencyConfig:
 
     ``fleet`` carries the full :class:`FleetConfig` for the sharded
     engine — supervision timings and admission quotas included.  When
-    set, ``workers`` and ``pool`` become read-only mirrors of it (the
-    same discipline as :class:`ResilienceConfig`'s legacy mirrors, so
-    ``dataclasses.replace`` round-trips stay consistent).
+    set, ``workers`` and ``pool`` become read-only mirrors of it, so
+    ``dataclasses.replace`` round-trips stay consistent.
     """
 
     mode: str = "serial"
@@ -250,113 +245,23 @@ class ResilienceConfig:
     ``concurrency`` picks the fan-out engine.  The ``clock`` is the
     single time source for backoff sleeps, breaker cooldowns, deadlines
     and (when shared with the fault-injection sources) latency/outage
-    simulation.
-
-    ``parallel=``/``max_workers=`` are deprecated spellings folded into
-    ``concurrency`` with a warning; after construction they remain
-    readable as plain attributes mirroring the concurrency config, so
-    pre-asyncio callers keep working.  An explicit ``concurrency``
-    always wins over the legacy pair — which is also what makes
-    ``dataclasses.replace(config, concurrency=...)`` the supported way
-    to change engines on an existing config (``replace`` re-passes the
-    stale mirror attributes, and they must not override the new value).
+    simulation.  ``dataclasses.replace(config, concurrency=...)`` is the
+    way to change engines on an existing config.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     breaker: BreakerPolicy | None = field(default_factory=BreakerPolicy)
     deadline_seconds: float | None = None
-    concurrency: ConcurrencyConfig | None = None
+    concurrency: ConcurrencyConfig = field(default_factory=ConcurrencyConfig)
     failover: bool = True
     clock: Clock = field(default_factory=SystemClock)
-    parallel: Any = UNSET
-    max_workers: Any = UNSET
 
     def __post_init__(self) -> None:
         if self.deadline_seconds is not None and self.deadline_seconds < 0:
             raise ValueError("deadline_seconds must be >= 0 or None")
-        legacy = {name: value for name, value in
-                  (("parallel", self.parallel),
-                   ("max_workers", self.max_workers))
-                  if value is not UNSET}
-        base = self.concurrency
-        if base is None:
-            base = ConcurrencyConfig()
-            if legacy:
-                if ("max_workers" in legacy
-                        and legacy["max_workers"] is not None
-                        and legacy["max_workers"] < 1):
-                    # The legacy kwarg never accepted 0/negative; keep its
-                    # exact old contract (unbounded is
-                    # ConcurrencyConfig-only).
-                    raise ValueError("max_workers must be >= 1 or None")
-                warnings.warn(
-                    "ResilienceConfig(parallel=, max_workers=) is "
-                    "deprecated; pass concurrency=ConcurrencyConfig(...) "
-                    "instead", DeprecationWarning, stacklevel=3)
-                mode = base.mode
-                if "parallel" in legacy:
-                    mode = "thread" if legacy["parallel"] else "serial"
-                base = ConcurrencyConfig(
-                    mode=mode,
-                    max_workers=legacy.get("max_workers", base.max_workers))
-        # else: an explicit concurrency config wins over the legacy pair
-        # unconditionally — dataclasses.replace() re-passes the mirror
-        # attributes below, and they must never override it.
-        self.concurrency = base
-        # Normalized mirrors so pre-asyncio readers (`config.parallel`)
-        # keep working and replace() round-trips stay consistent.
-        self.parallel = base.parallel
-        self.max_workers = base.max_workers
 
     @classmethod
     def conservative(cls) -> "ResilienceConfig":
         """The seed's behaviour: serial, no retries, no breakers."""
         return cls(retry=RetryPolicy.from_legacy(0, 0.0), breaker=None,
                    failover=False)
-
-
-def legacy_kwargs_to_config(base: ResilienceConfig | None, *,
-                            parallel: Any = UNSET, max_workers: Any = UNSET,
-                            retries: Any = UNSET, retry_delay: Any = UNSET,
-                            owner: str, stacklevel: int = 3
-                            ) -> ResilienceConfig:
-    """Fold the deprecated kwargs into a :class:`ResilienceConfig`.
-
-    Emits one :class:`DeprecationWarning` naming the owner class when any
-    legacy kwarg was actually passed.  When no config and no legacy
-    kwargs are given, the seed-compatible conservative default is used —
-    existing callers observe identical behaviour.
-    """
-    used = {name: value for name, value in
-            (("parallel", parallel), ("max_workers", max_workers),
-             ("retries", retries), ("retry_delay", retry_delay))
-            if value is not UNSET}
-    if base is None:
-        config = ResilienceConfig.conservative()
-    else:
-        config = replace(base)
-    if not used:
-        return config
-    warnings.warn(
-        f"{owner}({', '.join(sorted(used))}) is deprecated; pass "
-        f"resilience=ResilienceConfig(...) instead",
-        DeprecationWarning, stacklevel=stacklevel)
-    if "parallel" in used or "max_workers" in used:
-        if ("max_workers" in used and used["max_workers"] is not None
-                and used["max_workers"] < 1):
-            raise ValueError("max_workers must be >= 1 or None")
-        mode = config.concurrency.mode
-        if "parallel" in used:
-            mode = "thread" if used["parallel"] else "serial"
-        concurrency = ConcurrencyConfig(
-            mode=mode,
-            max_workers=used.get("max_workers",
-                                 config.concurrency.max_workers))
-        config.concurrency = concurrency
-        config.parallel = concurrency.parallel
-        config.max_workers = concurrency.max_workers
-    if "retries" in used or "retry_delay" in used:
-        config.retry = RetryPolicy.from_legacy(
-            used.get("retries", config.retry.retries),
-            used.get("retry_delay", config.retry.base_delay))
-    return config

@@ -164,6 +164,11 @@ def decode_body(body: bytes) -> dict:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GarbledFrameError(f"frame body is not valid JSON: {exc}") \
             from exc
+    except RecursionError as exc:
+        # A small body of nested arrays can exhaust the decoder's stack
+        # long before it reaches the frame size limit.
+        raise GarbledFrameError("frame body nests too deeply to decode") \
+            from exc
     if not isinstance(payload, dict):
         raise GarbledFrameError(
             f"frame body must be a JSON object, not {type(payload).__name__}")

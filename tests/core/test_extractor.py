@@ -1,10 +1,13 @@
 """Tests for extraction schemas, records, extractors and the manager."""
 
+import asyncio
+
 import pytest
 
 from repro.core.extractor import (DatabaseExtractor, ExtractionSchema,
                                   ExtractorManager, ExtractorRegistry,
                                   RawFragment, SourceRecordSet, WebExtractor)
+from repro.core.extractor.manager import _run_blocking, _SeamSuspendedError
 from repro.core.mapping import (AttributeRepository, DataSourceRepository,
                                 MappingEntry)
 from repro.core.mapping.rules import ExtractionRule
@@ -221,3 +224,47 @@ class TestManager:
         manager = ExtractorManager(attributes, sources)
         outcome = manager.extract_all_registered()
         assert len(outcome.record_sets["DB_1"].fragments) == 3
+
+
+class TestBlockingDriver:
+    """The serial and thread engines run the policy coroutines with a
+    one-``send`` trampoline; a seam that really suspends must fail
+    loudly, not hang."""
+
+    def test_returns_the_coroutine_value(self):
+        async def answer():
+            return 42
+
+        assert _run_blocking(answer()) == 42
+
+    def test_propagates_exceptions(self):
+        async def broken():
+            raise ExtractionError("boom")
+
+        with pytest.raises(ExtractionError, match="boom"):
+            _run_blocking(broken())
+
+    def test_real_suspension_raises_and_closes_the_coroutine(self):
+        cleaned_up = []
+
+        async def suspends():
+            try:
+                await asyncio.sleep(0)
+            finally:
+                cleaned_up.append(True)
+
+        with pytest.raises(_SeamSuspendedError):
+            _run_blocking(suspends())
+        assert cleaned_up == [True]
+
+    def test_an_awaiting_seam_on_the_sync_engine_is_a_typed_error(self,
+                                                                   repos):
+        class AwaitingSeamManager(ExtractorManager):
+            async def _run_rule(self, extractor, source, entry):
+                await asyncio.sleep(0)
+                return extractor.extract(source, entry)
+
+        attributes, sources = repos
+        manager = AwaitingSeamManager(attributes, sources)
+        with pytest.raises(_SeamSuspendedError):
+            manager.extract([AttributePath.parse("thing.product.brand")])

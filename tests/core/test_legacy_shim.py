@@ -1,7 +1,9 @@
-"""Deprecated-API shims: legacy resilience kwargs and rule helpers.
+"""Deprecated-API shims: the rule helpers, and the removed resilience kwargs.
 
 Deprecated spellings must keep their exact old semantics while warning,
 so downstream code migrates on its own schedule without behaviour drift.
+The scattered resilience kwargs have finished that cycle: they are gone,
+and passing one is a plain ``TypeError``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import pytest
 from repro import (ExtractionRule, S2SMiddleware, regex_rule, sql_rule,
                    webl_rule, xpath_rule)
 from repro.config import ResilienceConfig
-from repro.core.resilience import RetryPolicy, legacy_kwargs_to_config
+from repro.core.extractor import ExtractorManager
+from repro.core.mapping.datasources import DataSourceRepository
+from repro.core.mapping.repository import AttributeRepository
 from repro.errors import S2SError
 from repro.ontology.builders import watch_domain_ontology
 from repro.workloads import B2BScenario
@@ -26,28 +30,20 @@ def config_fields_except_clock(config: ResilienceConfig) -> dict:
 
 
 class TestLegacyResilienceKwargs:
-    def test_legacy_kwargs_warn_once_naming_the_owner(self):
-        with pytest.warns(DeprecationWarning,
-                          match=r"S2SMiddleware\(parallel, retries\)"):
-            S2SMiddleware(watch_domain_ontology(), parallel=True, retries=2)
+    @pytest.mark.parametrize("kwarg", ["parallel", "max_workers",
+                                       "retries", "retry_delay"])
+    def test_removed_kwargs_are_rejected(self, kwarg):
+        with pytest.raises(TypeError, match=kwarg):
+            S2SMiddleware(watch_domain_ontology(), **{kwarg: 1})
+        with pytest.raises(TypeError, match=kwarg):
+            ExtractorManager(AttributeRepository(), DataSourceRepository(),
+                             **{kwarg: 1})
 
-    @pytest.mark.parametrize("kwargs,explicit", [
-        ({"retries": 3, "retry_delay": 0.5},
-         ResilienceConfig(retry=RetryPolicy.from_legacy(3, 0.5),
-                          breaker=None, failover=False)),
-        ({"parallel": True, "max_workers": 2},
-         ResilienceConfig(retry=RetryPolicy.from_legacy(0, 0.0),
-                          breaker=None, failover=False,
-                          parallel=True, max_workers=2)),
-        ({"retries": 1},
-         ResilienceConfig(retry=RetryPolicy.from_legacy(1, 0.0),
-                          breaker=None, failover=False)),
-    ])
-    def test_legacy_kwargs_equal_explicit_config(self, kwargs, explicit):
-        with pytest.warns(DeprecationWarning):
-            shimmed = S2SMiddleware(watch_domain_ontology(), **kwargs)
-        assert config_fields_except_clock(shimmed.resilience) \
-            == config_fields_except_clock(explicit)
+    @pytest.mark.parametrize("kwarg", ["parallel", "max_workers"])
+    def test_removed_config_fields_are_rejected(self, kwarg):
+        with pytest.raises(TypeError, match=kwarg):
+            ResilienceConfig(**{kwarg: 1})
+        assert not hasattr(ResilienceConfig(), kwarg)
 
     def test_no_kwargs_is_the_conservative_default_without_warning(self):
         import warnings
@@ -56,15 +52,6 @@ class TestLegacyResilienceKwargs:
             s2s = S2SMiddleware(watch_domain_ontology())
         assert config_fields_except_clock(s2s.resilience) \
             == config_fields_except_clock(ResilienceConfig.conservative())
-
-    def test_legacy_kwargs_layer_over_an_explicit_base(self):
-        base = ResilienceConfig(retry=RetryPolicy(max_attempts=5))
-        with pytest.warns(DeprecationWarning):
-            config = legacy_kwargs_to_config(base, parallel=True,
-                                             owner="Test")
-        assert config.parallel is True
-        assert config.retry.max_attempts == 5
-        assert base.parallel is False  # the base object is not mutated
 
 
 class TestLegacyRuleHelpers:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.config import ResilienceConfig
+from repro.core.resilience import RetryPolicy
 from repro.errors import TransientSourceError
 from repro.sources.flaky import FlakySource
 from repro.sources.relational import RelationalDataSource
@@ -63,6 +65,12 @@ class TestFlakySource:
         assert 0 < flaky_db_source.failures < 10
 
 
+def fixed_retries(retries: int) -> ResilienceConfig:
+    """The seed's fixed-delay retry pair on the conservative config."""
+    return ResilienceConfig(retry=RetryPolicy.from_legacy(retries, 0.0),
+                            breaker=None, failover=False)
+
+
 class TestRetryPolicy:
     def _flaky_scenario_middleware(self, scenario, **kwargs):
         s2s = scenario.build_middleware(**kwargs)
@@ -79,14 +87,15 @@ class TestRetryPolicy:
         assert not result.errors.ok
 
     def test_with_retries_queries_recover(self, scenario):
-        s2s = self._flaky_scenario_middleware(scenario, retries=8)
+        s2s = self._flaky_scenario_middleware(
+            scenario, resilience=fixed_retries(8))
         result = s2s.query("SELECT product")
         assert result.errors.ok
         assert len(result) == 20
         assert s2s.manager.retry_count > 0
 
     def test_permanent_errors_not_retried(self, scenario):
-        s2s = scenario.build_middleware(retries=5)
+        s2s = scenario.build_middleware(resilience=fixed_retries(5))
         db_org = next(o for o in scenario.organizations
                       if o.source_type == "database")
         brand_field = db_org.native_fields.get("brand", "brand")
@@ -110,14 +119,13 @@ class TestRetryPolicy:
         result = s2s.query("SELECT product")
         assert any("transient" in str(e) for e in result.errors.entries)
 
-    def test_negative_retries_rejected(self, ontology):
-        from repro import S2SMiddleware
+    def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
-            S2SMiddleware(ontology, retries=-1)
+            fixed_retries(-1)
 
     def test_retry_works_in_parallel_mode(self, scenario):
-        s2s = self._flaky_scenario_middleware(scenario, retries=8,
-                                              concurrency="thread")
+        s2s = self._flaky_scenario_middleware(
+            scenario, resilience=fixed_retries(8), concurrency="thread")
         result = s2s.query("SELECT product")
         assert result.errors.ok
         assert len(result) == 20

@@ -54,6 +54,14 @@ class TestEncodeDecode:
         with pytest.raises(GarbledFrameError):
             decode_body(b'{"id": 1}')
 
+    def test_decode_rejects_deep_nesting(self):
+        # ~200 KB, far under MAX_FRAME_BYTES, yet deeper than any stack.
+        depth = 100_000
+        body = b'{"kind": "HELLO", "x": ' + b"[" * depth + b"]" * depth + b"}"
+        assert len(body) < MAX_FRAME_BYTES
+        with pytest.raises(GarbledFrameError, match="nests too deeply"):
+            decode_body(body)
+
 
 class TestAsyncRead:
     def test_reads_one_frame(self):

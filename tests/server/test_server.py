@@ -14,6 +14,7 @@ import struct
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.server import (PROTOCOL_VERSION, RemoteServerError, S2SClient,
                           S2SServer, ServerConfig, ServerThread, Tenant,
                           TenantRegistry)
@@ -258,6 +259,25 @@ class TestMalformedFraming:
         sock.close()
         with client_for(world, "globex") as client:
             assert len(client.query("SELECT Product")) == 5
+
+    def test_deeply_nested_hello_gets_bad_frame_and_is_counted(self):
+        metrics = MetricsRegistry()
+        server = S2SServer({"t": B2BScenario(n_sources=1, n_products=2,
+                                             seed=3).build_middleware()},
+                           metrics=metrics)
+        depth = 100_000
+        body = (b'{"kind": "HELLO", "protocol": ' + str(PROTOCOL_VERSION)
+                .encode() + b', "tenant": "t", "x": ' + b"[" * depth
+                + b"]" * depth + b"}")
+        with ServerThread(server) as (host, port):
+            sock = socket.create_connection((host, port), timeout=5.0)
+            sock.sendall(struct.pack(">I", len(body)) + body)
+            reply = read_frame_sync(sock)
+            sock.close()
+        assert reply["kind"] == "ERROR"
+        assert reply["code"] == "BAD_FRAME"
+        assert metrics.value("server_frame_errors_total",
+                             kind="GarbledFrameError") == 1
 
     def test_oversized_frame_is_refused(self, world):
         sock = socket.create_connection((world["host"], world["port"]),
