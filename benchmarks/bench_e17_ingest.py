@@ -23,6 +23,7 @@ import os
 import time
 
 from repro.bench import ResultTable
+from repro.config import FleetConfig
 from repro.core.ingest import IngestJournal, IngestTarget, ShardCoordinator
 from repro.core.query.parser import parse_s2sql
 from repro.sources.flaky import FlakySource
@@ -53,7 +54,7 @@ def build_world(journal_dir):
 
 
 def coordinator(s2s, journal_dir, **kwargs) -> ShardCoordinator:
-    kwargs.setdefault("n_workers", N_WORKERS)
+    kwargs.setdefault("fleet", FleetConfig(n_workers=N_WORKERS))
     return ShardCoordinator(s2s.store, s2s.manager,
                             s2s.query_handler.generator, journal_dir,
                             **kwargs)

@@ -50,8 +50,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
                         help="extraction engine: serial (default), a "
                              "thread pool, the asyncio engine, or the "
                              "sharded worker fleet")
-    parser.add_argument("--parallel", action="store_true",
-                        help="deprecated alias of --concurrency thread")
     parser.add_argument("--sql-engine", choices=("row", "columnar"),
                         default="columnar",
                         help="SELECT executor for database sources: "
@@ -66,7 +64,10 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
                         help="print the metrics registry to stderr")
 
 
-def _build(args: argparse.Namespace, *, store: bool = False):
+def _build(args: argparse.Namespace, *, store: bool = False,
+           fleet: str | None = None):
+    """The scenario and its middleware; a ``fleet`` spec (``query
+    --fleet``) implies the sharded engine."""
     from dataclasses import replace as _replace
 
     from .config import ConcurrencyConfig, ResilienceConfig
@@ -76,22 +77,11 @@ def _build(args: argparse.Namespace, *, store: bool = False):
                            conflicts=_CONFLICT_LEVELS[args.conflicts],
                            seed=args.seed,
                            sql_engine=getattr(args, "sql_engine", "columnar"))
-    mode = args.concurrency
-    if mode is None:
-        # --parallel predates --concurrency; honor it quietly here (the
-        # library-level kwargs are where the DeprecationWarning lives).
-        mode = "thread" if args.parallel else "serial"
-    query_workers = getattr(args, "query_workers", None)
-    query_pool = getattr(args, "query_pool", None)
-    if query_workers is not None or query_pool is not None:
-        # --workers / --pool imply the sharded fleet engine.
-        mode = "sharded"
-    if mode == "sharded":
+    if fleet is not None or args.concurrency == "sharded":
         concurrency = ConcurrencyConfig.sharded(
-            query_workers if query_workers is not None else 2,
-            pool=query_pool or "thread")
+            fleet=_parse_fleet_spec(fleet)[0] if fleet else None)
     else:
-        concurrency = ConcurrencyConfig(mode=mode)
+        concurrency = ConcurrencyConfig(mode=args.concurrency or "serial")
     resilience = _replace(ResilienceConfig.conservative(),
                           concurrency=concurrency)
     tracer = Tracer() if getattr(args, "trace", False) else None
@@ -134,7 +124,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
               "not both", file=sys.stderr)
         return 2
     merge_key = args.merge_key.split(",") if args.merge_key else None
-    _scenario, s2s = _build(args)
+    _scenario, s2s = _build(args, fleet=args.fleet)
     if args.batch_file:
         return _run_batch_file(args, s2s, merge_key)
     result = s2s.query(args.s2sql, merge_key=merge_key)
@@ -331,7 +321,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     # run
     report = s2s.ingest(args.s2sql or "SELECT product",
                         journal_dir=args.journal,
-                        n_workers=args.workers, pool=args.pool,
+                        fleet=(_parse_fleet_spec(args.fleet)[0]
+                               if args.fleet else None),
                         force=args.force, stop_after=args.stop_after)
     print(report.summary())
     for error in report.errors:
@@ -356,12 +347,15 @@ def _parse_tenant_specs(spec: str) -> list[tuple[str, str | None]]:
     return tenants
 
 
-def _parse_fleet_spec(spec: str):
-    """Parse ``--fleet workers[:pool][:shared]`` → (workers, pool, shared).
+def _parse_fleet_spec(spec: str, *, allow_shared: bool = False,
+                      tenant_quota: int | None = None):
+    """Parse ``--fleet N[:pool][:shared]`` → (FleetConfig, shared).
 
-    ``4`` — four thread workers per tenant; ``4:spawn`` — subprocess
-    workers; ``4:shared`` / ``4:spawn:shared`` — one fleet serving every
-    tenant."""
+    ``4`` — four thread workers; ``4:spawn`` — spawned subprocess
+    workers; on ``serve`` only, ``4:shared`` / ``4:spawn:shared`` — one
+    fleet serving every tenant."""
+    from .config import FleetConfig
+
     workers_text, _, rest = spec.partition(":")
     try:
         workers = int(workers_text)
@@ -372,33 +366,15 @@ def _parse_fleet_spec(spec: str):
     for token in filter(None, rest.split(":")):
         if token in ("thread", "spawn"):
             pool = token
-        elif token == "shared":
+        elif token == "shared" and allow_shared:
             shared = True
         else:
+            expected = ("thread, spawn or shared" if allow_shared
+                        else "thread or spawn")
             raise S2SError(f"unknown --fleet token {token!r} in {spec!r} "
-                           f"(expected thread, spawn or shared)")
-    return workers, pool, shared
-
-
-def _resolve_serve_fleet(args: argparse.Namespace):
-    """The serve command's fleet shape: (FleetConfig, shared) or None."""
-    legacy = (args.query_workers is not None
-              or args.query_pool is not None)
-    if args.fleet is None and not legacy:
-        return None
-    if args.fleet is not None:
-        if legacy:
-            raise S2SError("pass either --fleet or the deprecated "
-                           "--query-workers/--query-pool, not both")
-        workers, pool, shared = _parse_fleet_spec(args.fleet)
-    else:
-        print("warning: --query-workers/--query-pool are deprecated; "
-              "use --fleet workers[:pool][:shared]", file=sys.stderr)
-        workers = args.query_workers if args.query_workers is not None else 2
-        pool, shared = args.query_pool or "thread", False
-    from .config import FleetConfig
+                           f"(expected {expected})")
     return FleetConfig(n_workers=workers, pool=pool,
-                       tenant_quota=args.fleet_quota), shared
+                       tenant_quota=tenant_quota), shared
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -416,7 +392,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .config import ServerConfig
     from .server import S2SServer, ServerThread, Tenant, TenantRegistry
 
-    fleet_shape = _resolve_serve_fleet(args)
+    fleet_shape = (_parse_fleet_spec(args.fleet, allow_shared=True,
+                                     tenant_quota=args.fleet_quota)
+                   if args.fleet is not None else None)
     middleware_kwargs = {}
     if fleet_shape is not None:
         from .config import ConcurrencyConfig
@@ -564,14 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--merge-key", default="",
                        help="comma-separated attributes to dedup on, "
                             "e.g. brand,model")
-    query.add_argument("--workers", dest="query_workers", type=int,
-                       default=None, metavar="N",
-                       help="shard the query across N fleet workers "
-                            "(implies --concurrency sharded)")
-    query.add_argument("--pool", dest="query_pool",
-                       choices=("thread", "spawn"), default=None,
-                       help="fleet worker flavour: daemon threads "
-                            "(default) or spawned subprocesses "
+    query.add_argument("--fleet", default=None, metavar="N[:POOL]",
+                       help="shard the query across a fleet of N thread "
+                            "or spawn workers, e.g. '4' or '4:spawn' "
                             "(implies --concurrency sharded)")
     _add_scenario_arguments(query)
     _add_observability_arguments(query)
@@ -640,11 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
     ingest_run.add_argument("--dir", default=None,
                             help="directory to load/save the store "
                                  "snapshot (persistent across runs)")
-    ingest_run.add_argument("--workers", type=int, default=2,
-                            help="shard worker count (default 2)")
-    ingest_run.add_argument("--pool", choices=("thread", "subprocess"),
-                            default="thread",
-                            help="worker isolation (default thread)")
+    ingest_run.add_argument("--fleet", default=None, metavar="N[:POOL]",
+                            help="ingest worker fleet, e.g. '4' or "
+                                 "'4:spawn' (default: 2 thread workers)")
     ingest_run.add_argument("--force", action="store_true",
                             help="re-ingest every source, ignoring "
                                  "content fingerprints")
@@ -706,12 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-tenant cap on in-flight shard items on a "
                             "shared fleet; over-quota queries get "
                             "RETRY_AFTER pushback (default: no quota)")
-    serve.add_argument("--query-workers", type=int, default=None,
-                       metavar="N",
-                       help="deprecated alias: --fleet N")
-    serve.add_argument("--query-pool", choices=("thread", "spawn"),
-                       default=None,
-                       help="deprecated alias: the POOL part of --fleet")
     _add_scenario_arguments(serve)
     serve.set_defaults(handler=_cmd_serve)
 

@@ -9,13 +9,17 @@ place::
 * :class:`ResilienceConfig` — retries, breakers, deadlines, failover
   and the injectable clock (``S2SMiddleware(resilience=...)``).
 * :class:`ConcurrencyConfig` — the extraction fan-out engine
-  (``serial`` | ``thread`` | ``asyncio`` | ``sharded``) and its worker
-  bound; carried on :class:`ResilienceConfig`, or passed as
+  (``serial`` | ``thread`` | ``asyncio`` | ``sharded``), its thread
+  bound and, for ``sharded``, its fleet; carried on
+  :class:`ResilienceConfig`, or passed as
   ``S2SMiddleware(concurrency=...)``.
-* :class:`FleetConfig` — every knob of a sharded query fleet (worker
-  count, pool kind, supervision timings, admission quotas) in one
-  frozen object: ``ConcurrencyConfig.sharded(fleet=...)`` and
-  ``QueryShardCoordinator(fleet=...)``.
+* :class:`FleetConfig` — the one statement of a worker fleet's shape
+  (worker count, ``"thread"`` | ``"spawn"`` pool, supervision timings,
+  admission quotas), taken by both fleets:
+  ``ConcurrencyConfig.sharded(fleet=...)`` /
+  ``QueryShardCoordinator(fleet=...)`` for queries and
+  ``ShardCoordinator(fleet=...)`` / ``S2SMiddleware.ingest(fleet=...)``
+  for durable ingest.
 * :class:`RefreshPolicy` — semantic-store freshness: TTL, stale-while-
   refresh grace, fingerprint polling (``S2SMiddleware(store=...)``).
 * :class:`ServerConfig` — the query server's listen address, admission
@@ -24,10 +28,8 @@ place::
 
 These classes still *live* next to the subsystems they configure (that
 is where their behaviour is documented and tested); this module is the
-stable import path.  The historical spellings —
-``repro.core.resilience.ResilienceConfig``,
-``repro.core.store.RefreshPolicy`` and friends — keep working but emit
-:class:`DeprecationWarning`.
+one import path — the old ``repro.core``, ``repro.core.resilience`` and
+``repro.core.store`` spellings are gone.
 """
 
 from __future__ import annotations

@@ -13,30 +13,10 @@ Subpackages mirror the architecture of the paper's Figure 1:
   "single point of entry".
 """
 
-import warnings
-
 from .ingest import IngestReport, IngestTarget, ShardCoordinator
 from .mapping.rules import ExtractionRule
 from .middleware import S2SMiddleware
 from .store import SemanticStore
 
-#: Config classes now canonically exported by :mod:`repro.config`; the
-#: historical spellings keep working through the warning shim below.
-_MOVED_TO_CONFIG = ("ConcurrencyConfig", "RefreshPolicy",
-                    "ResilienceConfig")
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_CONFIG:
-        warnings.warn(
-            f"importing {name} from repro.core is deprecated; use "
-            f"repro.config (or the top-level repro namespace) instead",
-            DeprecationWarning, stacklevel=2)
-        from .. import config
-        return getattr(config, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = ["S2SMiddleware", "ExtractionRule", "ConcurrencyConfig",
-           "IngestReport", "IngestTarget", "ResilienceConfig",
-           "RefreshPolicy", "SemanticStore", "ShardCoordinator"]
+__all__ = ["S2SMiddleware", "ExtractionRule", "IngestReport",
+           "IngestTarget", "SemanticStore", "ShardCoordinator"]

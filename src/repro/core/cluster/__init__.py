@@ -25,24 +25,22 @@ failure model.
 """
 
 from ..resilience.config import FleetConfig
-from .coordinator import (QUERY_POOL_KINDS, FleetWorkerContext,
-                          QueryShardCoordinator, QueryWorkerContext,
-                          QueryWorkItem, ShardRunResult, query_worker_loop,
-                          run_query_item, subschema_for)
+from .coordinator import (FleetWorkerContext, QueryShardCoordinator,
+                          QueryWorkerContext, QueryWorkItem, ShardRunResult,
+                          query_worker_loop, run_query_item, subschema_for)
 from .manager import ShardedExtractorManager, merge_partials
 from .pool import (KILL_EXIT_CODE, SubprocessWorkerPool, ThreadWorkerPool,
-                   WorkerPool)
+                   WorkerPool, build_pool)
 from .sharding import partition_sources, shard_of
 from .supervision import (SupervisionVerdict, WorkerSupervisor,
                           default_restart_policy)
 
 __all__ = [
-    "KILL_EXIT_CODE", "QUERY_POOL_KINDS",
-    "FleetConfig", "FleetWorkerContext",
+    "KILL_EXIT_CODE", "FleetConfig", "FleetWorkerContext",
     "QueryShardCoordinator", "QueryWorkItem", "QueryWorkerContext",
     "ShardRunResult", "ShardedExtractorManager", "SubprocessWorkerPool",
     "SupervisionVerdict", "ThreadWorkerPool", "WorkerPool",
-    "WorkerSupervisor", "default_restart_policy", "merge_partials",
-    "partition_sources", "query_worker_loop", "run_query_item",
+    "WorkerSupervisor", "build_pool", "default_restart_policy",
+    "merge_partials", "partition_sources", "query_worker_loop", "run_query_item",
     "shard_of", "subschema_for",
 ]

@@ -41,7 +41,6 @@ at the next idle moment — when any of them change.  See
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -55,13 +54,10 @@ from ..extractor.manager import ExtractorManager
 from ..extractor.schema import ExtractionSchema
 from ..mapping.rules import TransformRegistry
 from ..resilience import Deadline
-from ..resilience.config import UNSET, FleetConfig, ResilienceConfig
-from .pool import SubprocessWorkerPool, ThreadWorkerPool, WorkerPool
+from ..resilience.config import FleetConfig, ResilienceConfig
+from .pool import WorkerPool, build_pool
 from .sharding import partition_sources
 from .supervision import WorkerSupervisor
-
-#: Pool kinds the sharded engine accepts.
-QUERY_POOL_KINDS = ("thread", "spawn")
 
 
 @dataclass
@@ -259,12 +255,6 @@ class _InflightRequest:
         return len(self.running) + len(self.ready)
 
 
-#: Legacy QueryShardCoordinator kwargs and their FleetConfig fields.
-_LEGACY_FLEET_KWARGS = ("n_workers", "pool", "heartbeat_timeout",
-                        "poll_seconds", "real_poll_seconds",
-                        "max_worker_restarts")
-
-
 class QueryShardCoordinator:
     """Owns one query fleet: lifecycle, interleaved dispatch, supervision.
 
@@ -288,27 +278,7 @@ class QueryShardCoordinator:
                  fleet: FleetConfig | None = None,
                  restart_policy=None,
                  metrics: MetricsRegistry | None = None,
-                 source_version: Callable[[], int] | None = None,
-                 n_workers: Any = UNSET, pool: Any = UNSET,
-                 heartbeat_timeout: Any = UNSET,
-                 poll_seconds: Any = UNSET,
-                 real_poll_seconds: Any = UNSET,
-                 max_worker_restarts: Any = UNSET) -> None:
-        legacy = {name: value for name, value in
-                  zip(_LEGACY_FLEET_KWARGS,
-                      (n_workers, pool, heartbeat_timeout, poll_seconds,
-                       real_poll_seconds, max_worker_restarts))
-                  if value is not UNSET}
-        if legacy:
-            if fleet is not None:
-                raise ValueError(
-                    "pass either fleet=FleetConfig(...) or the legacy "
-                    "kwargs, not both")
-            warnings.warn(
-                f"QueryShardCoordinator({', '.join(sorted(legacy))}=) is "
-                f"deprecated; pass fleet=FleetConfig(...) instead",
-                DeprecationWarning, stacklevel=2)
-            fleet = FleetConfig(**legacy)
+                 source_version: Callable[[], int] | None = None) -> None:
         self.fleet_config = fleet or FleetConfig()
         self.clock = clock
         self.metrics = metrics
@@ -337,24 +307,6 @@ class QueryShardCoordinator:
         if context_factory is not None:
             self.register_tenant("default", context_factory,
                                  source_version=source_version)
-
-    # -- compat mirrors of the fleet config ---------------------------------
-
-    @property
-    def n_workers(self) -> int:
-        return self.fleet_config.n_workers
-
-    @property
-    def pool_kind(self) -> str:
-        return self.fleet_config.pool
-
-    @property
-    def poll_seconds(self) -> float:
-        return self.fleet_config.poll_seconds
-
-    @property
-    def max_worker_restarts(self) -> int:
-        return self.fleet_config.max_worker_restarts
 
     # -- tenants -------------------------------------------------------------
 
@@ -395,13 +347,8 @@ class QueryShardCoordinator:
             ctx: Any = contexts["default"]
         else:
             ctx = FleetWorkerContext(contexts, killable=self.killable)
-        if self.pool_kind == "spawn":
-            return SubprocessWorkerPool(ctx, self.n_workers,
-                                        loop=query_worker_loop,
-                                        name="query-worker")
-        return ThreadWorkerPool(ctx, self.n_workers,
-                                loop=query_worker_loop,
-                                name="query-worker")
+        return build_pool(self.fleet_config, ctx, loop=query_worker_loop,
+                          name="query-worker")
 
     def ensure_started(self) -> None:
         """Start the fleet, or rebuild it after a source mutation.
@@ -426,7 +373,7 @@ class QueryShardCoordinator:
                 pool.start()
                 self._pool = pool
                 self._versions = versions
-                self.supervisor.reset(range(self.n_workers))
+                self.supervisor.reset(range(self.fleet_config.n_workers))
                 self._start_dispatcher(pool)
 
     def _start_dispatcher(self, pool: WorkerPool) -> None:
@@ -569,7 +516,7 @@ class QueryShardCoordinator:
                 # one's.  Only an idle fleet may reclaim it — a reset
                 # mid-flight would erase another query's death
                 # bookkeeping.
-                self.supervisor.reset(range(self.n_workers))
+                self.supervisor.reset(range(self.fleet_config.n_workers))
             self._request_seq += 1
             request_id = f"q{self._request_seq}"
             request = _InflightRequest(request_id, tenant, deadline)
@@ -577,7 +524,7 @@ class QueryShardCoordinator:
                 "shard.interleave", tenant=tenant,
                 inflight=len(self._requests) + 1)
             shard_map = partition_sources(schema.source_ids(),
-                                          self.n_workers)
+                                          self.fleet_config.n_workers)
             for shard, source_ids in sorted(shard_map.items()):
                 item = QueryWorkItem(request_id, shard, source_ids,
                                      subschema_for(schema, source_ids),
@@ -750,7 +697,7 @@ class QueryShardCoordinator:
         request.running.pop(shard, None)
         if aborted:
             message = (f"worker shard {worker} exceeded its restart "
-                       f"budget ({self.max_worker_restarts})")
+                       f"budget ({self.fleet_config.max_worker_restarts})")
             request.result.failures[shard] = message
             request.pending.discard(shard)
             request.spans[shard].fail(message)
@@ -767,7 +714,7 @@ class QueryShardCoordinator:
         pool = self._pool
         if pool is None or not self._rr:
             return 0
-        free = [worker for worker in range(self.n_workers)
+        free = [worker for worker in range(self.fleet_config.n_workers)
                 if worker not in self._assignments
                 and worker not in self.supervisor.restart_at
                 and pool.alive(worker)]

@@ -175,8 +175,9 @@ class ShardedExtractorManager(ExtractorManager):
         source_ids = schema.source_ids()
         span.annotate(sources=len(source_ids),
                       entries=schema.entry_count(), parallel=True,
-                      engine="sharded", workers=self.fleet.n_workers,
-                      pool=self.fleet.pool_kind)
+                      engine="sharded",
+                      workers=self.fleet.fleet_config.n_workers,
+                      pool=self.fleet.fleet_config.pool)
         if source_ids:
             run = self.fleet.execute(schema, deadline=deadline, span=span,
                                      tenant=self._tenant)

@@ -219,3 +219,11 @@ class SubprocessWorkerPool:
         self._workers.clear()
         self._inboxes.clear()
         self._cancels.clear()
+
+
+def build_pool(fleet: Any, ctx: Any, *, loop: WorkerLoop,
+               name: str) -> WorkerPool:
+    """The pool a :class:`~repro.config.FleetConfig` describes:
+    ``fleet.n_workers`` workers of flavour ``fleet.pool``."""
+    kind = SubprocessWorkerPool if fleet.pool == "spawn" else ThreadWorkerPool
+    return kind(ctx, fleet.n_workers, loop=loop, name=name)

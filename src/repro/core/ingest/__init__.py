@@ -16,9 +16,8 @@ from .journal import (DEAD_LETTER_NAME, JOURNAL_NAME, DeadLetterLedger,
                       IngestJournal, JournalState, read_jsonl)
 from .queue import DurableJobQueue
 from .staging import StagingArea
-from .workers import (ExtractBatch, StagedBatch, SubprocessWorkerPool,
-                      ThreadWorkerPool, UpsertPayload, WorkerContext,
-                      WorkerPool, WorkItem, execute_stage, run_item,
+from .workers import (ExtractBatch, StagedBatch, UpsertPayload,
+                      WorkerContext, WorkItem, execute_stage, run_item,
                       worker_loop)
 
 __all__ = [
@@ -27,9 +26,8 @@ __all__ = [
     "DEAD_LETTER_NAME", "JOURNAL_NAME",
     "DeadLetterLedger", "DurableJobQueue", "ExtractBatch", "IngestJob",
     "IngestJournal", "IngestReport", "IngestTarget", "JournalState",
-    "ShardCoordinator", "StagedBatch", "StagingArea",
-    "SubprocessWorkerPool", "ThreadWorkerPool", "UpsertPayload",
-    "WorkItem", "WorkerContext", "WorkerPool",
+    "ShardCoordinator", "StagedBatch", "StagingArea", "UpsertPayload",
+    "WorkItem", "WorkerContext",
     "execute_stage", "job_id_for", "next_stage", "read_jsonl", "run_item",
     "shard_of", "worker_loop",
 ]

@@ -2,8 +2,9 @@
 
 The :class:`ShardCoordinator` turns materialization targets into
 per-source :class:`~repro.core.ingest.jobs.IngestJob`\\ s, partitions
-them across a :class:`~repro.core.ingest.workers.WorkerPool` by stable
-shard key, and supervises the run:
+them across a :class:`~repro.core.cluster.pool.WorkerPool` (shaped by
+a :class:`~repro.config.FleetConfig`, the same value the query fleet
+takes) by stable shard key, and supervises the run:
 
 * every job transition is journaled (fsync'd) *before* taking effect,
   so a coordinator killed at any instruction boundary resumes exactly
@@ -22,7 +23,7 @@ shard key, and supervises the run:
 
 Workers compute, the coordinator commits: all
 :class:`~repro.core.store.SemanticStore` writes happen here, on the
-event-drain path, which is what lets thread and subprocess pools behave
+event-drain path, which is what lets thread and spawn pools behave
 identically.
 
 ``stop_after=N`` is the crash seam for tests and the E17 benchmark: the
@@ -39,18 +40,19 @@ from typing import Any
 
 from ...clock import Clock, SystemClock
 from ...obs import NULL_SPAN, MetricsRegistry, Tracer
+from ..cluster.pool import WorkerPool, build_pool
 from ..cluster.supervision import WorkerSupervisor, default_restart_policy
 from ..extractor.manager import ExtractorManager
 from ..instances.generator import InstanceGenerator
 from ..resilience import RetryPolicy
+from ..resilience.config import FleetConfig
 from ..store.delta import DeltaRefresher
 from ..store.store import SemanticStore, StoreKey
 from .jobs import DEAD, DONE, MATERIALIZE, IngestJob, job_id_for, shard_of
 from .journal import DeadLetterLedger, IngestJournal
 from .queue import DurableJobQueue
 from .staging import StagingArea
-from .workers import (SubprocessWorkerPool, ThreadWorkerPool, UpsertPayload,
-                      WorkerContext, WorkItem, WorkerPool)
+from .workers import UpsertPayload, WorkerContext, WorkItem, worker_loop
 
 
 @dataclass
@@ -96,41 +98,40 @@ class IngestReport:
 
 
 class ShardCoordinator:
-    """Drives durable staged ingest over a pool of shard workers."""
+    """Drives durable staged ingest over a pool of shard workers.
+
+    ``fleet`` shapes the pool and its supervision exactly as it shapes
+    a query fleet; ingest has no admission, so its quotas must be
+    unset."""
 
     def __init__(self, store: SemanticStore, manager: ExtractorManager,
                  generator: InstanceGenerator, journal_dir: str, *,
-                 n_workers: int = 2, pool: str = "thread",
+                 fleet: FleetConfig | None = None,
                  clock: Clock | None = None,
                  retry_policy: RetryPolicy | None = None,
                  restart_policy: RetryPolicy | None = None,
-                 heartbeat_timeout: float = 30.0,
-                 poll_seconds: float = 0.05,
-                 real_poll_seconds: float = 0.02,
-                 max_worker_restarts: int = 3,
                  killable: Any = None,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
                  fsync: bool = True,
                  stop_after: int | None = None) -> None:
-        if pool not in ("thread", "subprocess"):
-            raise ValueError("pool must be 'thread' or 'subprocess'")
+        fleet = fleet or FleetConfig()
+        if (fleet.max_inflight_requests is not None
+                or fleet.tenant_quota is not None):
+            raise ValueError("ingest has no admission control; "
+                             "max_inflight_requests and tenant_quota "
+                             "must be None")
         self.store = store
         self.manager = manager
         self.generator = generator
         self.clock = clock or manager.config.clock or SystemClock()
         self.tracer = tracer
         self.metrics = metrics
-        self.n_workers = n_workers
-        self.pool_kind = pool
-        self.heartbeat_timeout = heartbeat_timeout
-        self.poll_seconds = poll_seconds
-        self.real_poll_seconds = real_poll_seconds
-        self.max_worker_restarts = max_worker_restarts
+        self.fleet = fleet
         self.killable = killable
         self.stop_after = stop_after
         self.restart_policy = restart_policy or default_restart_policy(
-            max_worker_restarts)
+            fleet.max_worker_restarts)
         self.journal = IngestJournal(journal_dir, fsync=fsync,
                                      metrics=metrics)
         self.dead_letter = DeadLetterLedger(journal_dir, fsync=fsync,
@@ -230,17 +231,16 @@ class ShardCoordinator:
         ctx = WorkerContext(self.manager.sources, self.generator,
                             killable=self.killable,
                             extractors=self.manager.extractors)
-        if self.pool_kind == "subprocess":
-            return SubprocessWorkerPool(ctx, self.n_workers)
-        return ThreadWorkerPool(ctx, self.n_workers)
+        return build_pool(self.fleet, ctx, loop=worker_loop,
+                          name="ingest-worker")
 
     def run(self, targets: list[IngestTarget], *,
             force: bool = False) -> IngestReport:
         """Plan and drain: the whole ingest run, supervised."""
         started = time.perf_counter()
         root = (self.tracer.start("ingest", targets=len(targets),
-                                  workers=self.n_workers,
-                                  pool=self.pool_kind)
+                                  workers=self.fleet.n_workers,
+                                  pool=self.fleet.pool)
                 if self.tracer is not None else NULL_SPAN)
         report = self.plan(targets, force=force, root=root)
         self.journal.record_run("started", report.run_id,
@@ -289,10 +289,11 @@ class ShardCoordinator:
     def _drain(self, pool: WorkerPool, report: IngestReport, root) -> None:
         assigned: dict[int, str] = {}  # shard -> in-flight job_id
         supervisor = WorkerSupervisor(
-            self.clock, heartbeat_timeout=self.heartbeat_timeout,
+            self.clock, heartbeat_timeout=self.fleet.heartbeat_timeout,
             restart_policy=self.restart_policy,
-            max_restarts=self.max_worker_restarts, metrics=self.metrics)
-        supervisor.reset(range(self.n_workers))
+            max_restarts=self.fleet.max_worker_restarts,
+            metrics=self.metrics)
+        supervisor.reset(range(self.fleet.n_workers))
         while not self.queue.drained:
             if (self.stop_after is not None
                     and report.completed >= self.stop_after):
@@ -301,11 +302,11 @@ class ShardCoordinator:
                 # entirely from the journal.
                 report.aborted = True
                 return
-            events = pool.events(self.real_poll_seconds)
+            events = pool.events(self.fleet.real_poll_seconds)
             if not events:
                 # Idle beat: advance the (possibly fake) clock so
                 # heartbeat ages and retry backoffs make progress.
-                self.clock.sleep(self.poll_seconds)
+                self.clock.sleep(self.fleet.poll_seconds)
             for event in events:
                 supervisor.beat(event["shard"])
                 self._handle_event(event, assigned, report, root)
@@ -410,7 +411,7 @@ class ShardCoordinator:
         # dead-but-idle worker must not burn the restart budget (and
         # certainly must not abort the run) while other shards drain.
         relevant = set(assigned)
-        relevant.update(shard_of(job.source_id, self.n_workers)
+        relevant.update(shard_of(job.source_id, self.fleet.n_workers)
                         for job in self.queue.pending)
         verdict = supervisor.supervise(pool, busy=set(assigned),
                                        relevant=relevant)
@@ -430,7 +431,7 @@ class ShardCoordinator:
         if verdict.aborted is not None:
             report.errors.append(
                 f"worker shard {verdict.aborted} exceeded its restart "
-                f"budget ({self.max_worker_restarts})")
+                f"budget ({self.fleet.max_worker_restarts})")
             return True
         return False
 
@@ -439,8 +440,8 @@ class ShardCoordinator:
     def _dispatch(self, pool: WorkerPool, assigned: dict[int, str],
                   restart_at: dict[int, float], report: IngestReport,
                   root) -> None:
-        for job in self.queue.eligible(self.n_workers):
-            shard = shard_of(job.source_id, self.n_workers)
+        for job in self.queue.eligible(self.fleet.n_workers):
+            shard = shard_of(job.source_id, self.fleet.n_workers)
             if shard in assigned or shard in restart_at:
                 continue  # worker busy or awaiting restart
             if not pool.alive(shard):

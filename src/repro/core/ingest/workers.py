@@ -1,4 +1,4 @@
-"""Supervised ingest workers: thread and subprocess behind one protocol.
+"""Supervised ingest workers: the stage waterfall a pool worker runs.
 
 A worker owns one *shard* (a stable partition of the source space, see
 :func:`~repro.core.ingest.jobs.shard_of`) and runs the per-job stage
@@ -17,18 +17,18 @@ a results queue:
 
 Workers *compute*; the coordinator *commits*.  No worker ever touches
 the :class:`~repro.core.store.SemanticStore` or the journal — that is
-what makes the two pool flavours interchangeable: a subprocess child
-works on pickled copies of the sources and its mutations are discarded,
-while the committed results flow back through the event queue either
-way.
+what makes the two pool flavours of :mod:`repro.core.cluster.pool`
+interchangeable: a spawned child works on pickled copies of the sources
+and its mutations are discarded, while the committed results flow back
+through the event queue either way.
 
-Subprocess workers use the ``spawn`` start method deliberately: children
-re-import and re-pickle everything (no forked shared state), so the
-pickling contract the thread pool never exercises is enforced in tests.
-Custom user-registered transform *functions* do not cross the boundary —
-children rebuild a default :class:`~repro.core.mapping.rules.\
-TransformRegistry` (built-ins plus ``scale:``/``map:`` forms); mappings
-needing bespoke transforms should use thread workers.
+Spawned children re-import and re-pickle everything (no forked shared
+state), so the pickling contract the thread pool never exercises is
+enforced in tests.  Custom user-registered transform *functions* do not
+cross the boundary — children rebuild a default
+:class:`~repro.core.mapping.rules.TransformRegistry` (built-ins plus
+``scale:``/``map:`` forms); mappings needing bespoke transforms should
+use thread workers.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ from typing import Any
 from ...errors import (CircuitOpenError, PoisonPayloadError, S2SError,
                        TransientSourceError)
 from ...sources.flaky import KillableWorker, WorkerCrashed
-from ..cluster.pool import (KILL_EXIT_CODE, WorkerPool)  # noqa: F401
-from ..cluster.pool import SubprocessWorkerPool as _GenericSubprocessPool
-from ..cluster.pool import ThreadWorkerPool as _GenericThreadPool
 from ..extractor.extractors import ExtractorRegistry
 from ..extractor.manager import ExtractionOutcome
 from ..extractor.records import SourceRecordSet
@@ -49,12 +46,6 @@ from ..instances.generator import InstanceGenerator
 from ..mapping.rules import TransformRegistry
 from ..store.snapshot import fingerprint_source
 from .jobs import CLEAN, EXTRACT, MATERIALIZE, STAGE, STAGES, IngestJob
-
-# KILL_EXIT_CODE and the WorkerPool protocol moved to
-# repro.core.cluster.pool when the query fleet landed; both remain
-# importable from here (deprecation shim — new code should import from
-# repro.core.cluster).
-
 
 @dataclass
 class WorkerContext:
@@ -224,24 +215,3 @@ def worker_loop(shard: int, inbox, results, ctx: WorkerContext, *,
             # anything — no failure event, no further heartbeats.  The
             # supervisor must notice on its own.
             return
-
-
-class ThreadWorkerPool(_GenericThreadPool):
-    """Ingest shard workers as daemon threads (see
-    :class:`repro.core.cluster.pool.ThreadWorkerPool`): no pickling,
-    shared fault-injection state, genuinely shared clock."""
-
-    def __init__(self, ctx: WorkerContext, n_workers: int = 2) -> None:
-        super().__init__(ctx, n_workers, loop=worker_loop,
-                         name="ingest-worker")
-
-
-class SubprocessWorkerPool(_GenericSubprocessPool):
-    """Ingest shard workers as spawned subprocesses (see
-    :class:`repro.core.cluster.pool.SubprocessWorkerPool`): everything
-    crossing the boundary is pickled, a scripted kill is a genuine
-    ``os._exit``."""
-
-    def __init__(self, ctx: WorkerContext, n_workers: int = 2) -> None:
-        super().__init__(ctx, n_workers, loop=worker_loop,
-                         name="ingest-worker")

@@ -62,39 +62,6 @@ from .store import (DeltaRefresher, RefreshResult, SemanticStore,
 from .store.refresh import RefreshPolicy
 
 
-def _deprecated_rule(language: str, code: str, *, name: str = "",
-                     transform: str | None = None) -> ExtractionRule:
-    warnings.warn(
-        f"{language}_rule() is deprecated; use "
-        f"ExtractionRule.{language}(...) instead",
-        DeprecationWarning, stacklevel=3)
-    return ExtractionRule(language, code, name=name, transform=transform)
-
-
-def sql_rule(code: str, *, name: str = "", transform: str | None = None
-             ) -> ExtractionRule:
-    """Deprecated alias of :meth:`ExtractionRule.sql`."""
-    return _deprecated_rule("sql", code, name=name, transform=transform)
-
-
-def xpath_rule(code: str, *, name: str = "", transform: str | None = None
-               ) -> ExtractionRule:
-    """Deprecated alias of :meth:`ExtractionRule.xpath`."""
-    return _deprecated_rule("xpath", code, name=name, transform=transform)
-
-
-def webl_rule(code: str, *, name: str = "", transform: str | None = None
-              ) -> ExtractionRule:
-    """Deprecated alias of :meth:`ExtractionRule.webl`."""
-    return _deprecated_rule("webl", code, name=name, transform=transform)
-
-
-def regex_rule(code: str, *, name: str = "", transform: str | None = None
-               ) -> ExtractionRule:
-    """Deprecated alias of :meth:`ExtractionRule.regex`."""
-    return _deprecated_rule("regex", code, name=name, transform=transform)
-
-
 class S2SMiddleware:
     """The Syntactic-to-Semantic middleware."""
 
@@ -369,9 +336,9 @@ class S2SMiddleware:
         """A :class:`ShardCoordinator` over this middleware's store,
         manager and generator, journaling under ``journal_dir``.
 
-        Accepts every coordinator keyword (``n_workers``, ``pool``,
-        ``retry_policy``, ``heartbeat_timeout``, ``stop_after``, …); the
-        tracer and metrics default to the middleware's own."""
+        Accepts every coordinator keyword (``fleet=FleetConfig(...)``,
+        ``retry_policy``, ``stop_after``, …); the tracer and metrics
+        default to the middleware's own."""
         options.setdefault("tracer", self.tracer)
         options.setdefault("metrics", self._metrics)
         coordinator = ShardCoordinator(self._require_store(), self.manager,

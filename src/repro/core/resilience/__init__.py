@@ -13,17 +13,14 @@ degrade gracefully instead of amplifying downstream flakiness:
   parallel extraction;
 * :class:`SourceHealth` / :class:`SourceHealthRegistry` — the per-source
   ledger surfaced on ``ExtractionOutcome`` and ``QueryResult``;
-* :class:`ResilienceConfig` — the single knob object for all of the
-  above;
-* :class:`ConcurrencyConfig` — the fan-out engine selector
-  (``serial`` | ``thread`` | ``asyncio``) plus the thread-pool bound,
-  carried on :class:`ResilienceConfig`.
+* :class:`~repro.config.ResilienceConfig` — the single knob object for
+  all of the above, and :class:`~repro.config.ConcurrencyConfig` — the
+  fan-out engine selector it carries (both import from
+  :mod:`repro.config`).
 
 See ``docs/resilience.md`` for the lifecycle diagrams and failover
 semantics, and ``docs/async.md`` for the asyncio engine.
 """
-
-import warnings
 
 from ...clock import Clock, FakeClock, SystemClock
 from .breaker import (CLOSED, HALF_OPEN, OPEN, BreakerPolicy, CircuitBreaker,
@@ -33,27 +30,11 @@ from .deadline import Deadline
 from .health import SourceHealth, SourceHealthRegistry
 from .retry import RetryBudget, RetryPolicy
 
-#: Config classes now canonically exported by :mod:`repro.config`; the
-#: historical spelling keeps working through the warning shim below.
-_MOVED_TO_CONFIG = ("ConcurrencyConfig", "ResilienceConfig")
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_CONFIG:
-        warnings.warn(
-            f"importing {name} from repro.core.resilience is deprecated; "
-            f"use repro.config (or the top-level repro namespace) instead",
-            DeprecationWarning, stacklevel=2)
-        from . import config
-        return getattr(config, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "BreakerPolicy", "CircuitBreaker", "CircuitBreakerRegistry",
     "CLOSED", "OPEN", "HALF_OPEN",
     "Clock", "FakeClock", "SystemClock",
-    "ConcurrencyConfig", "DEFAULT_WORKER_CAP",
-    "Deadline", "ResilienceConfig", "RetryBudget", "RetryPolicy",
+    "DEFAULT_WORKER_CAP", "Deadline", "RetryBudget", "RetryPolicy",
     "SourceHealth", "SourceHealthRegistry",
     "TransitionListener",
     "coerce_concurrency",

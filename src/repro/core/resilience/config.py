@@ -14,14 +14,10 @@ thread pool bound in one frozen value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from ...clock import Clock, SystemClock
 from .breaker import BreakerPolicy
 from .retry import RetryPolicy
-
-#: Sentinel distinguishing "not passed" from any real value.
-UNSET: Any = object()
 
 #: Fan-out engines ConcurrencyConfig.mode accepts.
 CONCURRENCY_MODES = ("serial", "thread", "asyncio", "sharded")
@@ -36,13 +32,10 @@ DEFAULT_WORKER_CAP = 16
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Every knob of one sharded query fleet, in one frozen value.
+    """Every knob of one worker fleet, in one frozen value.
 
-    PR 9 scattered the fleet's shape across ``ConcurrencyConfig``
-    fields (``workers``, ``pool``) and ``QueryShardCoordinator``
-    kwargs (``heartbeat_timeout``, ``poll_seconds``,
-    ``max_worker_restarts``); this dataclass gathers them, plus the
-    interleaving scheduler's admission quotas:
+    The one place fleet shape is stated — both the query fleet and the
+    ingest pipeline take it:
 
     * ``n_workers`` / ``pool`` — fleet width and worker flavour
       (``"thread"`` shares process state and the injectable clock,
@@ -67,9 +60,10 @@ class FleetConfig:
       greedy tenant can never starve the rest of a shared fleet.
       ``None`` disables the quota.
 
-    Accepted by ``ConcurrencyConfig.sharded(fleet=...)`` and
-    ``QueryShardCoordinator(fleet=...)``; importable from
-    ``repro.config``.
+    Accepted by ``ConcurrencyConfig.sharded(fleet=...)``,
+    ``QueryShardCoordinator(fleet=...)`` and ``ShardCoordinator(fleet=
+    ...)`` (ingest has no admission, so it rejects the two quotas);
+    importable from ``repro.config``.
     """
 
     n_workers: int = 2
@@ -115,9 +109,9 @@ class ConcurrencyConfig:
       event loop, with no worker cap at all (sync connectors are run in
       worker threads via the auto-adapter);
     * ``"sharded"`` — the fleet engine: sources are partitioned by
-      stable shard key across ``workers`` supervised workers (``pool``
-      selects daemon threads or spawned subprocesses) and the partial
-      outcomes are merged back into one (see docs/cluster.md).
+      stable shard key across the supervised workers ``fleet``
+      describes and the partial outcomes are merged back into one (see
+      docs/cluster.md).
 
     ``max_workers`` bounds the thread pool in ``"thread"`` mode:
     ``None`` means the adaptive default ``min(n_sources, 16)`` (which
@@ -125,21 +119,13 @@ class ConcurrencyConfig:
     explicitly unbounded (one worker per source, however many), and any
     positive value is an exact cap.  The asyncio engine ignores it.
 
-    ``workers`` and ``pool`` belong to the sharded engine only: the
-    fleet width and the worker flavour (``"thread"`` shares process
-    state and the injectable clock; ``"spawn"`` pickles everything
-    across a real process boundary).  The other engines ignore them.
-
-    ``fleet`` carries the full :class:`FleetConfig` for the sharded
-    engine — supervision timings and admission quotas included.  When
-    set, ``workers`` and ``pool`` become read-only mirrors of it, so
-    ``dataclasses.replace`` round-trips stay consistent.
+    ``fleet`` carries the sharded engine's :class:`FleetConfig` —
+    width, worker flavour, supervision timings and admission quotas;
+    ``None`` means the default fleet.  The other engines ignore it.
     """
 
     mode: str = "serial"
     max_workers: int | None = None
-    workers: int = 2
-    pool: str = "thread"
     fleet: FleetConfig | None = None
 
     def __post_init__(self) -> None:
@@ -151,18 +137,6 @@ class ConcurrencyConfig:
             raise ValueError(
                 "max_workers must be None (adaptive), 0 (unbounded) or "
                 "positive")
-        if self.fleet is not None:
-            # The fleet config is the source of truth; the flat fields
-            # become mirrors of it (replace() re-passes stale mirrors,
-            # and they must never override the fleet).
-            object.__setattr__(self, "workers", self.fleet.n_workers)
-            object.__setattr__(self, "pool", self.fleet.pool)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.pool not in SHARDED_POOL_KINDS:
-            raise ValueError(
-                f"pool must be one of {SHARDED_POOL_KINDS}, "
-                f"not {self.pool!r}")
 
     @classmethod
     def threads(cls, max_workers: int | None = None) -> "ConcurrencyConfig":
@@ -193,14 +167,9 @@ class ConcurrencyConfig:
         return cls(mode="sharded", fleet=fleet)
 
     def fleet_config(self) -> FleetConfig:
-        """The sharded engine's fleet knobs, derived when unset.
-
-        A config built without ``fleet=`` (legacy flat ``workers`` /
-        ``pool`` fields) still yields a complete :class:`FleetConfig`
-        with default supervision timings and no quotas."""
-        if self.fleet is not None:
-            return self.fleet
-        return FleetConfig(n_workers=self.workers, pool=self.pool)
+        """The sharded engine's fleet knobs (the default fleet when
+        ``fleet`` is unset)."""
+        return self.fleet if self.fleet is not None else FleetConfig()
 
     @property
     def parallel(self) -> bool:

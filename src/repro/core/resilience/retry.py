@@ -54,8 +54,8 @@ class RetryPolicy:
     def from_legacy(cls, retries: int, retry_delay: float) -> "RetryPolicy":
         """The seed's ``retries``/``retry_delay`` pair, verbatim.
 
-        Constant delay, no jitter, no budget — byte-for-byte the old
-        behaviour, so the deprecated kwargs keep their exact semantics.
+        Constant delay, no jitter, no budget — byte-for-byte the seed's
+        fixed-delay retry behaviour.
         """
         if retries < 0:
             raise ValueError("retries must be >= 0")

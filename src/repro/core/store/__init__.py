@@ -6,33 +6,17 @@ incrementally by re-extracting only the sources whose content
 fingerprints changed.  See docs/store.md.
 """
 
-import warnings
-
 from .delta import DeltaPlan, DeltaRefresher, RefreshResult
 from .refresh import StoreRefresher
 from .snapshot import fingerprint_source, load_store, save_store
 from .store import (STORE, Materialization, SemanticStore, SourceSlice,
                     StoreServing)
 
-
-def __getattr__(name: str):
-    # RefreshPolicy is now canonically exported by repro.config; the
-    # historical spelling keeps working through this warning shim.
-    if name == "RefreshPolicy":
-        warnings.warn(
-            "importing RefreshPolicy from repro.core.store is deprecated; "
-            "use repro.config (or the top-level repro namespace) instead",
-            DeprecationWarning, stacklevel=2)
-        from .refresh import RefreshPolicy
-        return RefreshPolicy
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "STORE",
     "DeltaPlan",
     "DeltaRefresher",
     "Materialization",
-    "RefreshPolicy",
     "RefreshResult",
     "SemanticStore",
     "SourceSlice",

@@ -12,7 +12,7 @@ nodes, ``rdf:ID``, ``rdf:nodeID``, nested node elements).
 
 from __future__ import annotations
 
-from ..errors import RdfError, RdfSyntaxError
+from ..errors import RdfError, RdfSyntaxError, XmlSyntaxError
 from ..xmlkit import Document, Element, parse_xml, serialize_xml
 from .graph import Graph
 from .namespace import NamespaceManager, RDF
@@ -20,6 +20,10 @@ from .terms import IRI, BlankNode, Literal, Object, Subject
 
 _RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 _XML_NS = "http://www.w3.org/XML/1998/namespace"
+
+#: Deepest chain of nested node elements (node → property → node …)
+#: accepted; deeper documents raise RdfSyntaxError.
+MAX_NODE_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +136,10 @@ class RdfXmlParser:
 
     def parse(self, text: str, graph: Graph | None = None) -> Graph:
         """Parse RDF/XML text into ``graph`` (or a fresh one)."""
-        document = parse_xml(text)
+        try:
+            document = parse_xml(text)
+        except XmlSyntaxError as exc:
+            raise RdfSyntaxError(f"malformed RDF/XML: {exc}") from exc
         graph = graph if graph is not None else Graph(
             namespace_manager=NamespaceManager())
         self._graph = graph
@@ -140,9 +147,9 @@ class RdfXmlParser:
         root = document.root
         if root.namespace == _RDF_NS and self._local(root) == "RDF":
             for child in root.element_children():
-                self._node_element(child)
+                self._node_element(child, 1)
         else:
-            self._node_element(root)
+            self._node_element(root, 1)
         return graph
 
     def _register_namespaces(self, root: Element) -> None:
@@ -181,7 +188,10 @@ class RdfXmlParser:
             self._bnodes[label] = BlankNode()
         return self._bnodes[label]
 
-    def _node_element(self, element: Element) -> Subject:
+    def _node_element(self, element: Element, depth: int) -> Subject:
+        if depth > MAX_NODE_DEPTH:
+            raise RdfSyntaxError(
+                f"node elements nested deeper than {MAX_NODE_DEPTH}")
         subject = self._subject_of(element)
         name = self._resolve_name(element)
         if not (element.namespace == _RDF_NS and self._local(element) == "Description"):
@@ -195,10 +205,11 @@ class RdfXmlParser:
                 predicate = self._graph.namespace_manager.expand(attr)
                 self._graph.add(subject, predicate, Literal(value))
         for child in element.element_children():
-            self._property_element(subject, child)
+            self._property_element(subject, child, depth)
         return subject
 
-    def _property_element(self, subject: Subject, element: Element) -> None:
+    def _property_element(self, subject: Subject, element: Element,
+                          depth: int) -> None:
         predicate = self._resolve_name(element)
         resource = element.get("rdf:resource")
         if resource is not None:
@@ -214,7 +225,7 @@ class RdfXmlParser:
                 raise RdfSyntaxError(
                     f"property element {element.name!r} must contain exactly "
                     "one node element")
-            nested = self._node_element(children[0])
+            nested = self._node_element(children[0], depth + 1)
             self._graph.add(subject, predicate, nested)
             return
         datatype = element.get("rdf:datatype")

@@ -585,11 +585,9 @@ class S2SServer:
         concurrency = middleware.resilience.concurrency
         engine = {"mode": concurrency.mode}
         if concurrency.mode == "sharded":
-            engine["workers"] = concurrency.workers
-            engine["pool"] = concurrency.pool
-            fleet = getattr(middleware.manager, "fleet", None)
-            if fleet is not None and hasattr(fleet, "snapshot"):
-                engine["fleet"] = fleet.snapshot()
+            # The serving coordinator's own view: after attach_fleet()
+            # it is the shared fleet, not the middleware's config.
+            engine["fleet"] = middleware.manager.fleet.snapshot()
         await self._respond(connection, {
             "kind": protocol.STATUS_OK, "id": frame.get("id"),
             "tenant": session.tenant.name,

@@ -12,12 +12,17 @@ from .lexer import Token, tokenize
 
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 
+#: Deepest parenthesis/NOT nesting a WHERE condition may use; deeper
+#: conditions raise SqlSyntaxError instead of exhausting the stack.
+MAX_CONDITION_DEPTH = 64
+
 
 class _Parser:
     def __init__(self, statement: str) -> None:
         self.statement = statement
         self.tokens = tokenize(statement)
         self.index = 0
+        self.depth = 0
 
     # -- plumbing ---------------------------------------------------------
 
@@ -222,14 +227,24 @@ class _Parser:
             left = BooleanOp("AND", left, self.not_condition())
         return left
 
+    def nested(self, parse):
+        """Run ``parse`` one nesting level deeper, bounded."""
+        self.depth += 1
+        if self.depth > MAX_CONDITION_DEPTH:
+            raise self.error(
+                f"condition nested deeper than {MAX_CONDITION_DEPTH}")
+        node = parse()
+        self.depth -= 1
+        return node
+
     def not_condition(self) -> Condition:
         if self.accept_keyword("NOT"):
-            return Not(self.not_condition())
+            return Not(self.nested(self.not_condition))
         return self.predicate()
 
     def predicate(self) -> Condition:
         if self.accept("lparen"):
-            inner = self.condition()
+            inner = self.nested(self.condition)
             self.expect("rparen")
             return inner
         operand = self.scalar()

@@ -8,11 +8,17 @@ from .ast import (Assign, BinaryOp, BoolLit, Call, Each, Expr, ExprStmt, If,
                   Return, Stmt, StringLit, UnaryOp, VarDecl, While)
 from .lexer import Token, tokenize
 
+#: Deepest nesting of sub-expressions, unary operators and statement
+#: blocks; deeper programs raise WeblSyntaxError instead of exhausting
+#: the stack.
+MAX_NESTING_DEPTH = 50
+
 
 class _Parser:
     def __init__(self, program: str) -> None:
         self.tokens = tokenize(program)
         self.index = 0
+        self.depth = 0
 
     def error(self, message: str) -> WeblSyntaxError:
         token = self.peek()
@@ -27,6 +33,15 @@ class _Parser:
             raise WeblSyntaxError("unexpected end of program")
         self.index += 1
         return token
+
+    def nested(self, parse):
+        """Run ``parse`` one nesting level deeper, bounded."""
+        self.depth += 1
+        if self.depth > MAX_NESTING_DEPTH:
+            raise self.error(f"code nested deeper than {MAX_NESTING_DEPTH}")
+        node = parse()
+        self.depth -= 1
+        return node
 
     def accept(self, kind: str, value: str | None = None) -> Token | None:
         token = self.peek()
@@ -58,7 +73,7 @@ class _Parser:
         while not self.accept("rbrace"):
             if self.peek() is None:
                 raise WeblSyntaxError("unterminated block")
-            body.append(self.statement())
+            body.append(self.nested(self.statement))
         return tuple(body)
 
     def statement(self) -> Stmt:
@@ -83,7 +98,7 @@ class _Parser:
                 if self.accept("keyword", "else"):
                     if self.peek() is not None and self.peek().kind == "keyword" \
                             and self.peek().value == "if":
-                        else_body = (self.statement(),)
+                        else_body = (self.nested(self.statement),)
                     else:
                         else_body = self.block()
                 return If(condition, then_body, else_body)
@@ -122,7 +137,7 @@ class _Parser:
     # -- expressions (precedence climbing) ---------------------------------
 
     def expression(self) -> Expr:
-        return self.or_expr()
+        return self.nested(self.or_expr)
 
     def or_expr(self) -> Expr:
         left = self.and_expr()
@@ -170,9 +185,9 @@ class _Parser:
 
     def unary(self) -> Expr:
         if self.accept("minus"):
-            return UnaryOp("-", self.unary())
+            return UnaryOp("-", self.nested(self.unary))
         if self.accept("keyword", "not"):
-            return UnaryOp("not", self.unary())
+            return UnaryOp("not", self.nested(self.unary))
         return self.postfix()
 
     def postfix(self) -> Expr:

@@ -21,6 +21,10 @@ _ATTR_RE = re.compile(
     rf"\s+({_NAME})\s*=\s*(\"[^\"]*\"|'[^']*')")
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
 
+#: Deepest element nesting accepted; deeper documents are rejected with
+#: XmlSyntaxError before the recursive descent can exhaust the stack.
+MAX_XML_DEPTH = 256
+
 
 def _decode_entities(text: str, line: int) -> str:
     if "&" not in text:
@@ -64,7 +68,8 @@ class _Parser:
 
     def parse(self) -> Document:
         declaration = self._skip_prolog()
-        root = self._parse_element(namespaces={"xml": "http://www.w3.org/XML/1998/namespace"})
+        root = self._parse_element(namespaces={"xml": "http://www.w3.org/XML/1998/namespace"},
+                                   depth=1)
         self._skip_misc()
         if self.pos < len(self.text):
             raise self.error("content after document root")
@@ -130,7 +135,9 @@ class _Parser:
             i += 1
         raise self.error("unterminated DOCTYPE")
 
-    def _parse_element(self, namespaces: dict[str, str]) -> Element:
+    def _parse_element(self, namespaces: dict[str, str], depth: int) -> Element:
+        if depth > MAX_XML_DEPTH:
+            raise self.error(f"elements nested deeper than {MAX_XML_DEPTH}")
         if not self.text.startswith("<", self.pos):
             raise self.error("expected element start tag")
         match = re.compile(rf"<({_NAME})").match(self.text, self.pos)
@@ -168,7 +175,7 @@ class _Parser:
             raise self.error(f"malformed start tag <{raw_name}>")
         self.advance(1)
 
-        self._parse_content(element, local_namespaces)
+        self._parse_content(element, local_namespaces, depth)
 
         close = f"</{raw_name}"
         if not self.text.startswith(close, self.pos):
@@ -180,7 +187,8 @@ class _Parser:
         self.advance(1)
         return element
 
-    def _parse_content(self, element: Element, namespaces: dict[str, str]) -> None:
+    def _parse_content(self, element: Element, namespaces: dict[str, str],
+                       depth: int) -> None:
         buffer: list[str] = []
 
         def flush() -> None:
@@ -212,7 +220,7 @@ class _Parser:
                 continue
             if self.text.startswith("<", self.pos):
                 flush()
-                element.append(self._parse_element(namespaces))
+                element.append(self._parse_element(namespaces, depth + 1))
                 continue
             next_tag = self.text.find("<", self.pos)
             if next_tag == -1:

@@ -28,12 +28,18 @@ _FUNCTIONS = {
     "string-length", "substring",
 }
 
+#: Deepest nesting of sub-expressions (parentheses, predicates, function
+#: arguments); deeper expressions raise XPathError instead of exhausting
+#: the stack.
+MAX_EXPR_DEPTH = 64
+
 
 class _Parser:
     def __init__(self, expression: str) -> None:
         self.expression = expression
         self.tokens = tokenize(expression)
         self.index = 0
+        self.depth = 0
 
     def error(self, message: str) -> XPathError:
         return XPathError(f"{message} in XPath {self.expression!r}")
@@ -72,9 +78,13 @@ class _Parser:
         return expr
 
     def or_expr(self) -> Expr:
+        self.depth += 1
+        if self.depth > MAX_EXPR_DEPTH:
+            raise self.error(f"expression nested deeper than {MAX_EXPR_DEPTH}")
         left = self.and_expr()
         while self._keyword("or"):
             left = BooleanOp("or", left, self.and_expr())
+        self.depth -= 1
         return left
 
     def and_expr(self) -> Expr:

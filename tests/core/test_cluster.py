@@ -3,7 +3,7 @@
 Shard routing, sub-schema slicing, the extracted worker supervisor,
 partial-outcome merging, the sharded concurrency config, fleet
 lifecycle (lazy start, rebuild on source mutation) and the ingest
-deprecation shims.  Integration-level equivalence lives in
+coordinator's use of the shared pools.  Integration-level equivalence lives in
 ``tests/integration/test_sharded_equivalence.py``.
 """
 
@@ -304,20 +304,21 @@ class TestMergePartials:
 class TestShardedConcurrencyConfig:
     def test_sharded_classmethod(self):
         config = ConcurrencyConfig.sharded(4, pool="spawn")
-        assert (config.mode, config.workers, config.pool) == \
+        assert (config.mode, config.fleet.n_workers, config.fleet.pool) == \
             ("sharded", 4, "spawn")
         assert config.parallel
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers"):
-            ConcurrencyConfig(mode="sharded", workers=0)
+            ConcurrencyConfig.sharded(0)
 
     def test_pool_kind_is_validated(self):
         with pytest.raises(ValueError, match="pool"):
-            ConcurrencyConfig(mode="sharded", pool="fork")
+            ConcurrencyConfig.sharded(pool="fork")
 
     def test_other_modes_ignore_but_accept_fleet_knobs(self):
-        config = ConcurrencyConfig(mode="thread", workers=3)
+        config = ConcurrencyConfig(mode="thread",
+                                   fleet=FleetConfig(n_workers=3))
         assert config.mode == "thread"
 
 
@@ -375,24 +376,31 @@ class TestRepositoryVersion:
 
 
 class TestIngestShims:
-    def test_moved_names_remain_importable(self):
-        from repro.core.cluster import pool as cluster_pool
-        from repro.core.ingest.workers import (KILL_EXIT_CODE,
-                                               SubprocessWorkerPool,
-                                               ThreadWorkerPool, WorkerPool)
-        assert KILL_EXIT_CODE == cluster_pool.KILL_EXIT_CODE
-        assert WorkerPool is cluster_pool.WorkerPool
-        assert issubclass(ThreadWorkerPool, cluster_pool.ThreadWorkerPool)
-        assert issubclass(SubprocessWorkerPool,
-                          cluster_pool.SubprocessWorkerPool)
+    """The ingest coordinator builds the shared cluster pools (its own
+    pool subclasses and re-exports are gone)."""
 
-    def test_ingest_pools_fix_their_loop(self):
-        from repro.core.ingest.workers import (ThreadWorkerPool,
-                                               WorkerContext, worker_loop)
-        pool = ThreadWorkerPool(WorkerContext(sources=None, generator=None),
-                                n_workers=1)
+    @staticmethod
+    def _middleware():
+        from repro.workloads import B2BScenario
+        return B2BScenario(n_sources=2, n_products=2,
+                           seed=7).build_middleware(store=True)
+
+    def test_ingest_pools_fix_their_loop(self, tmp_path):
+        from repro.core.ingest.workers import worker_loop
+        coordinator = self._middleware().ingest_coordinator(
+            str(tmp_path), fleet=FleetConfig(n_workers=1))
+        pool = coordinator._build_pool()
+        assert type(pool) is ThreadWorkerPool
         assert pool._loop is worker_loop
         assert pool.name == "ingest-worker"
+        coordinator.close()
+
+    def test_ingest_rejects_admission_quotas(self, tmp_path):
+        s2s = self._middleware()
+        for quota in ({"tenant_quota": 2}, {"max_inflight_requests": 2}):
+            with pytest.raises(ValueError, match="admission"):
+                s2s.ingest_coordinator(str(tmp_path),
+                                       fleet=FleetConfig(**quota))
 
 
 class TestQueryWorkerContext:

@@ -1,4 +1,4 @@
-"""The consolidated config surface and its deprecation shims."""
+"""The consolidated config surface; the old import paths are gone."""
 
 from __future__ import annotations
 
@@ -49,24 +49,6 @@ class TestCanonicalSurface:
 
 
 class TestDeprecatedSpellings:
-    @pytest.mark.parametrize("module, name", [
-        (repro.core.resilience, "ResilienceConfig"),
-        (repro.core.resilience, "ConcurrencyConfig"),
-        (repro.core.store, "RefreshPolicy"),
-        (repro.core, "ResilienceConfig"),
-        (repro.core, "ConcurrencyConfig"),
-        (repro.core, "RefreshPolicy"),
-    ])
-    def test_old_path_warns_and_returns_the_canonical_class(self, module,
-                                                            name):
-        with pytest.warns(DeprecationWarning, match="repro.config"):
-            value = getattr(module, name)
-        assert value is getattr(repro.config, name)
-
-    def test_from_import_spelling_warns_too(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.core.resilience import ResilienceConfig  # noqa: F401
-
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             repro.core.resilience.NoSuchThing

@@ -148,8 +148,7 @@ class TestFleetConfig:
     def test_sharded_accepts_a_fleet(self):
         fleet = FleetConfig(n_workers=5, pool="spawn", tenant_quota=3)
         config = ConcurrencyConfig.sharded(fleet=fleet)
-        # The legacy mirror attributes follow the fleet object.
-        assert (config.workers, config.pool) == (5, "spawn")
+        assert (config.fleet.n_workers, config.fleet.pool) == (5, "spawn")
         assert config.fleet_config() is fleet
 
     def test_sharded_rejects_mixing_spellings(self):
@@ -163,16 +162,8 @@ class TestFleetConfig:
 
 
 class TestLegacyCoordinatorKwargs:
-    def test_old_kwargs_warn_and_still_configure(self):
-        with pytest.warns(DeprecationWarning, match="FleetConfig"):
-            coordinator = QueryShardCoordinator(
-                n_workers=3, pool="thread", heartbeat_timeout=7.0,
-                clock=FakeClock(), context_factory=lambda: None)
-        assert coordinator.n_workers == 3
-        assert coordinator.fleet_config.heartbeat_timeout == 7.0
-
     def test_mixing_old_and_new_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="n_workers"):
             QueryShardCoordinator(n_workers=3, fleet=FleetConfig(),
                                   clock=FakeClock(),
                                   context_factory=lambda: None)

@@ -13,11 +13,12 @@ import time
 import pytest
 
 from repro.clock import FakeClock
+from repro.config import FleetConfig
+from repro.core.cluster.pool import SubprocessWorkerPool, ThreadWorkerPool
 from repro.core.ingest import (CLEAN, EXTRACT, MATERIALIZE, STAGE,
-                               IngestJob, StagedBatch, SubprocessWorkerPool,
-                               ThreadWorkerPool, UpsertPayload, WorkItem,
-                               WorkerContext, execute_stage, job_id_for,
-                               run_item)
+                               IngestJob, StagedBatch, UpsertPayload,
+                               WorkItem, WorkerContext, execute_stage,
+                               job_id_for, run_item, worker_loop)
 from repro.core.query.parser import parse_s2sql
 from repro.errors import TransientSourceError
 from repro.sources.flaky import (FlakySource, KillableWorker, WorkerCrashed,
@@ -233,7 +234,8 @@ class TestThreadWorkerPool:
     def test_submit_and_collect_done_event(self, world):
         _scenario, s2s, plan, schema = world
         source_id = sorted(schema.by_source)[0]
-        pool = ThreadWorkerPool(make_context(s2s), n_workers=2)
+        pool = ThreadWorkerPool(make_context(s2s), n_workers=2,
+                                loop=worker_loop)
         pool.start()
         try:
             _job, item = make_item(plan, schema, source_id)
@@ -249,7 +251,7 @@ class TestThreadWorkerPool:
         killable = KillableWorker([WorkerFault("kill",
                                                source_id=source_id)])
         pool = ThreadWorkerPool(make_context(s2s, killable=killable),
-                                n_workers=1)
+                                n_workers=1, loop=worker_loop)
         pool.start()
         try:
             _job, item = make_item(plan, schema, source_id)
@@ -272,7 +274,8 @@ class TestThreadWorkerPool:
     def test_rejects_empty_pool(self, world):
         _scenario, s2s, _plan, _schema = world
         with pytest.raises(ValueError):
-            ThreadWorkerPool(make_context(s2s), n_workers=0)
+            ThreadWorkerPool(make_context(s2s), n_workers=0,
+                             loop=worker_loop)
 
 
 class TestSubprocessWorkerPool:
@@ -281,7 +284,8 @@ class TestSubprocessWorkerPool:
         payload on the way back — all across a process boundary."""
         _scenario, s2s, plan, schema = world
         source_id = sorted(schema.by_source)[0]
-        pool = SubprocessWorkerPool(make_context(s2s), n_workers=1)
+        pool = SubprocessWorkerPool(make_context(s2s), n_workers=1,
+                                    loop=worker_loop)
         pool.start()
         try:
             _job, item = make_item(plan, schema, source_id)
@@ -292,3 +296,19 @@ class TestSubprocessWorkerPool:
             assert payload.source_id == source_id
         finally:
             pool.shutdown()
+
+    def test_full_ingest_run_on_spawn_workers_matches_threads(self,
+                                                             tmp_path):
+        """A whole coordinator run on spawned workers commits the same
+        store entities as the same run on thread workers."""
+        def ingest(pool):
+            s2s = B2BScenario(n_sources=4, n_products=6,
+                              seed=3).build_middleware(store=True)
+            report = s2s.ingest("SELECT product",
+                                journal_dir=str(tmp_path / pool),
+                                fleet=FleetConfig(n_workers=2, pool=pool))
+            assert not report.aborted and report.dead == 0
+            return sorted(s2s.store.export("ntriples").splitlines())
+
+        spawned = ingest("spawn")
+        assert spawned and spawned == ingest("thread")

@@ -1,9 +1,10 @@
-"""Deprecated-API shims: the rule helpers, and the removed resilience kwargs.
+"""Removed API spellings fail loudly instead of warning.
 
-Deprecated spellings must keep their exact old semantics while warning,
-so downstream code migrates on its own schedule without behaviour drift.
-The scattered resilience kwargs have finished that cycle: they are gone,
-and passing one is a plain ``TypeError``.
+Every deprecation shim has finished its cycle: the rule helpers, the
+old config import paths, the scattered resilience and fleet kwargs,
+``QueryResult._schema`` and the legacy CLI flags are gone.  Using one is
+a plain ``ImportError`` / ``AttributeError`` / ``TypeError`` (or an
+argparse usage error, exit code 2) naming nothing that half-works.
 """
 
 from __future__ import annotations
@@ -12,13 +13,16 @@ import dataclasses
 
 import pytest
 
-from repro import (ExtractionRule, S2SMiddleware, regex_rule, sql_rule,
-                   webl_rule, xpath_rule)
-from repro.config import ResilienceConfig
+from repro import S2SMiddleware
+from repro.cli import main
+from repro.config import ConcurrencyConfig, ResilienceConfig
+from repro.core.cluster import QueryShardCoordinator
 from repro.core.extractor import ExtractorManager
+from repro.core.ingest import ShardCoordinator
 from repro.core.mapping.datasources import DataSourceRepository
 from repro.core.mapping.repository import AttributeRepository
 from repro.errors import S2SError
+from repro.clock import FakeClock
 from repro.ontology.builders import watch_domain_ontology
 from repro.workloads import B2BScenario
 
@@ -54,22 +58,82 @@ class TestLegacyResilienceKwargs:
             == config_fields_except_clock(ResilienceConfig.conservative())
 
 
-class TestLegacyRuleHelpers:
-    @pytest.mark.parametrize("helper,language,code", [
-        (sql_rule, "sql", "SELECT a FROM t"),
-        (xpath_rule, "xpath", "//item/name"),
-        (webl_rule, "webl", "return [];"),
-        (regex_rule, "regex", r"^name=(.*)$"),
-    ])
-    def test_helpers_warn_and_match_classmethods(self, helper, language,
-                                                 code):
-        with pytest.warns(DeprecationWarning,
-                          match=f"{language}_rule.. is deprecated"):
-            old = helper(code, name="n", transform="strip")
-        new = getattr(ExtractionRule, language)(code, name="n",
-                                                transform="strip")
-        assert old == new
-        assert old.language == language
+def _from_import(module: str, name: str):
+    def attempt():
+        exec(f"from {module} import {name}", {})
+    return attempt
+
+
+def _schema_attribute():
+    from repro.core.query.executor import QueryResult
+    from repro.core.query.parser import parse_s2sql
+    from repro.core.query.planner import QueryPlanner
+    from repro.ontology.schema import OntologySchema
+    schema = OntologySchema(watch_domain_ontology())
+    query = parse_s2sql("SELECT product")
+    return QueryResult(query, QueryPlanner(schema).plan(query),
+                       schema)._schema
+
+
+_FLEET_KWARGS = ("n_workers", "pool", "heartbeat_timeout", "poll_seconds",
+                 "real_poll_seconds", "max_worker_restarts")
+
+#: removed spelling -> (the error it raises now, an attempt to use it)
+REMOVED = {
+    **{name: (ImportError, _from_import("repro", name))
+       for name in ("sql_rule", "xpath_rule", "webl_rule", "regex_rule")},
+    **{f"core.{name}": (ImportError, _from_import("repro.core", name))
+       for name in ("ResilienceConfig", "ConcurrencyConfig",
+                    "RefreshPolicy")},
+    **{f"resilience.{name}": (ImportError,
+                              _from_import("repro.core.resilience", name))
+       for name in ("ResilienceConfig", "ConcurrencyConfig")},
+    "resilience.config.UNSET": (
+        ImportError, _from_import("repro.core.resilience.config", "UNSET")),
+    "store.RefreshPolicy": (
+        ImportError, _from_import("repro.core.store", "RefreshPolicy")),
+    **{f"ingest.{name}": (ImportError, _from_import("repro.core.ingest", name))
+       for name in ("ThreadWorkerPool", "SubprocessWorkerPool",
+                    "WorkerPool")},
+    **{f"workers.{name}": (ImportError,
+                           _from_import("repro.core.ingest.workers", name))
+       for name in ("KILL_EXIT_CODE", "WorkerPool")},
+    "QueryResult._schema": (AttributeError, _schema_attribute),
+    "ConcurrencyConfig.workers": (
+        AttributeError, lambda: ConcurrencyConfig.sharded(2).workers),
+    **{f"ConcurrencyConfig({name}=)": (
+        TypeError, lambda name=name: ConcurrencyConfig(**{name: 2}))
+       for name in ("workers", "pool")},
+    **{f"query-fleet:{name}": (
+        TypeError, lambda name=name: QueryShardCoordinator(
+            clock=FakeClock(), **{name: 2}))
+       for name in _FLEET_KWARGS},
+    **{f"ingest-fleet:{name}": (
+        TypeError, lambda name=name: ShardCoordinator(
+            None, None, None, "journal", **{name: 2}))
+       for name in _FLEET_KWARGS},
+    **{f"cli:{' '.join(argv)}": (SystemExit, lambda argv=argv: main(
+        [*argv, "--sources", "2", "--products", "2"]))
+       for argv in (("demo", "--parallel"),
+                    ("query", "--workers", "2"),
+                    ("query", "--pool", "spawn"),
+                    ("serve", "--query-workers", "2"),
+                    ("serve", "--query-pool", "spawn"),
+                    ("ingest", "run", "--journal", "j", "--workers", "2"),
+                    ("ingest", "run", "--journal", "j", "--pool",
+                     "subprocess"))},
+}
+
+
+class TestRemoved:
+    @pytest.mark.parametrize("spelling", sorted(REMOVED))
+    def test_spelling_raises(self, spelling, capsys):
+        error, attempt = REMOVED[spelling]
+        with pytest.raises(error) as excinfo:
+            attempt()
+        if error is SystemExit:
+            assert excinfo.value.code == 2  # argparse: unknown option
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestOutputFormats:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import pytest
 
 from repro.clock import FakeClock
+from repro.config import FleetConfig
 from repro.core.ingest import (STAGE, IngestJournal, IngestTarget,
                                ShardCoordinator)
 from repro.core.query.parser import parse_s2sql
@@ -53,7 +54,7 @@ class World:
     def coordinator(self, **kwargs) -> ShardCoordinator:
         kwargs.setdefault("clock", self.clock)
         kwargs.setdefault("metrics", self.metrics)
-        kwargs.setdefault("n_workers", 2)
+        kwargs.setdefault("fleet", FleetConfig(n_workers=2))
         return ShardCoordinator(self.s2s.store, self.s2s.manager,
                                 self.s2s.query_handler.generator,
                                 self.journal_dir, **kwargs)
@@ -146,8 +147,9 @@ class TestWorkerDeathChaos:
         source_id = sorted(world.s2s.manager.sources.ids())[0]
         killable = KillableWorker([WorkerFault("kill", source_id=source_id,
                                                stage=STAGE)])
-        coordinator = world.coordinator(killable=killable,
-                                        heartbeat_timeout=2.0)
+        coordinator = world.coordinator(
+            killable=killable,
+            fleet=FleetConfig(n_workers=2, heartbeat_timeout=2.0))
         report = coordinator.run([world.target])
         coordinator.close()
         assert not report.aborted
@@ -175,9 +177,10 @@ class TestWorkerDeathChaos:
         killable = KillableWorker([
             WorkerFault("kill", source_id=source_id, stage=STAGE),
             WorkerFault("kill", source_id=source_id, stage=STAGE)])
-        coordinator = world.coordinator(killable=killable,
-                                        heartbeat_timeout=2.0,
-                                        max_worker_restarts=3)
+        coordinator = world.coordinator(
+            killable=killable,
+            fleet=FleetConfig(n_workers=2, heartbeat_timeout=2.0,
+                              max_worker_restarts=3))
         report = coordinator.run([world.target])
         coordinator.close()
         assert not report.aborted

@@ -14,6 +14,9 @@ import struct
 
 import pytest
 
+from repro.clock import SystemClock
+from repro.config import ConcurrencyConfig, FleetConfig
+from repro.core.cluster import QueryShardCoordinator
 from repro.obs import MetricsRegistry
 from repro.server import (PROTOCOL_VERSION, RemoteServerError, S2SClient,
                           S2SServer, ServerConfig, ServerThread, Tenant,
@@ -155,6 +158,25 @@ class TestEndToEnd:
         assert 0.0 < status["middleware"]["coverage"] <= 1.0
         assert "server_requests_total" in metrics["metrics"]["server"]
         assert "queries_total" in metrics["metrics"]["tenant"]
+
+    def test_status_reports_the_attached_fleet_shape(self):
+        """After attach_fleet() the serving fleet, not the middleware's
+        own (default 2-worker) config, is the fleet STATUS reports."""
+        s2s = B2BScenario(n_sources=2, n_products=4,
+                          seed=7).build_middleware(
+            concurrency=ConcurrencyConfig.sharded())
+        shared = QueryShardCoordinator(clock=SystemClock(),
+                                       fleet=FleetConfig(n_workers=3))
+        s2s.attach_fleet(shared, tenant="acme")
+        registry = TenantRegistry()
+        registry.add(Tenant("acme", s2s, owned=True))
+        with ServerThread(S2SServer(registry)) as (host, port):
+            with S2SClient(host, port, tenant="acme") as client:
+                engine = client.status()["middleware"]["engine"]
+        shared.shutdown()
+        assert engine["mode"] == "sharded"
+        assert engine["fleet"]["workers"] == 3
+        assert "workers" not in engine and "pool" not in engine
 
     def test_welcome_carries_protocol_and_tenant(self, world):
         with client_for(world, "acme") as client:

@@ -23,7 +23,8 @@ class TestDemo:
 
     def test_demo_parallel(self, capsys):
         code, out, _err = run_cli(capsys, "demo", "--sources", "2",
-                                  "--products", "8", "--parallel")
+                                  "--products", "8", "--concurrency",
+                                  "thread")
         assert code == 0
 
     @pytest.mark.parametrize("mode", ["serial", "thread", "asyncio"])
@@ -48,6 +49,15 @@ class TestQuery:
             "--sources", "2", "--products", "6")
         assert code == 0
         assert len(json.loads(out)) == 6
+
+    def test_fleet_shards_the_query(self, capsys):
+        code, out, err = run_cli(
+            capsys, "query", "SELECT product", "--format", "json",
+            "--fleet", "2", "--sources", "2", "--products", "6",
+            "--metrics")
+        assert code == 0
+        assert len(json.loads(out)) == 6
+        assert "shard_dispatches_total" in err
 
     def test_owl_output(self, capsys):
         code, out, _err = run_cli(
@@ -211,6 +221,22 @@ class TestIngest:
         assert "1 skipped" in out
         assert "loaded 1 materialization(s)" in err
 
+    def test_run_on_a_fleet(self, capsys, tmp_path):
+        code, out, _err = run_cli(capsys, "ingest", "run",
+                                  "--journal", str(tmp_path / "journal"),
+                                  "--fleet", "3:thread",
+                                  *self.scenario_args())
+        assert code == 0
+        assert "3 done" in out and "completed" in out
+
+    def test_fleet_cannot_be_shared(self, capsys, tmp_path):
+        code, _out, err = run_cli(capsys, "ingest", "run",
+                                  "--journal", str(tmp_path / "journal"),
+                                  "--fleet", "2:shared",
+                                  *self.scenario_args())
+        assert code == 1
+        assert "unknown --fleet token 'shared'" in err
+
     def test_dead_letter_and_requeue_empty(self, capsys, tmp_path):
         journal = str(tmp_path / "journal")
         code, out, _err = run_cli(capsys, "ingest", "dead-letter",
@@ -244,6 +270,13 @@ class TestServe:
         assert code == 1
         assert "at least one tenant" in err
 
+    def test_serve_rejects_mixed_fleet_spellings(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(capsys, "serve", "--duration", "0",
+                    "--fleet", "2", "--query-workers", "2")
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_serve_shared_fleet(self, capsys):
         code, out, _err = run_cli(capsys, "serve", "--duration", "0",
                                   "--fleet", "2:thread:shared",
@@ -258,19 +291,6 @@ class TestServe:
         assert code == 1
         assert "unknown --fleet token" in err
 
-    def test_serve_legacy_fleet_flags_warn(self, capsys):
-        code, out, err = run_cli(capsys, "serve", "--duration", "0",
-                                 "--query-workers", "2",
-                                 "--sources", "2", "--products", "4")
-        assert code == 0
-        assert "fleet per tenant: 2 thread worker(s)" in out
-        assert "deprecated" in err
-
-    def test_serve_rejects_mixed_fleet_spellings(self, capsys):
-        code, _out, err = run_cli(capsys, "serve", "--duration", "0",
-                                  "--fleet", "2", "--query-workers", "2")
-        assert code == 1
-        assert "not both" in err
 
 
 class TestClient:
