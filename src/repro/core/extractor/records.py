@@ -72,15 +72,12 @@ class SourceRecordSet:
         lengths = {len(fragment) for fragment in self.fragments}
         if len(lengths) > 1:
             self.ragged = True
-        records: list[dict[str, str | None]] = []
-        for index in range(count):
-            record: dict[str, str | None] = {}
-            for fragment in self.fragments:
-                value = (fragment.values[index]
-                         if index < len(fragment.values) else None)
-                record[str(fragment.attribute)] = value
-            records.append(record)
-        return records
+        columns = [(str(fragment.attribute), fragment.values)
+                   for fragment in self.fragments]
+        return [{attribute_id: (values[index] if index < len(values)
+                                else None)
+                 for attribute_id, values in columns}
+                for index in range(count)]
 
     def is_single_record(self) -> bool:
         """The paper's scenario 1: a source describing one entity."""

@@ -18,13 +18,14 @@ The cluster containing the query class (or a subclass of it) is the
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
 from ...errors import InstanceGenerationError, ValidationError
 from ...ids import AttributePath
 from ...ontology.model import Individual
-from ...ontology.reasoner import Reasoner
+from ...ontology.reasoner import Reasoner, range_coercer
 from ...ontology.schema import OntologySchema
 
 
@@ -77,72 +78,165 @@ class AssembledEntity:
             list(self.coercion_errors))
 
 
+@functools.lru_cache(maxsize=1024)
+def _safe_source(source_id: str) -> str:
+    return re.sub(r"[^A-Za-z0-9_]", "_", source_id)
+
+
 def _identifier(class_name: str, source_id: str, index: int) -> str:
-    safe_source = re.sub(r"[^A-Za-z0-9_]", "_", source_id)
-    return f"{class_name}_{safe_source}_{index}"
+    return f"{class_name}_{_safe_source(source_id)}_{index}"
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """How records whose values belong to one tuple of owner classes
+    become individuals.
+
+    ``clusters`` holds, per individual, its most specific class, the
+    owner classes it absorbs (general → specific) and the coercers of
+    its attributes; ``primary`` indexes the query-class cluster (None
+    when there is none); ``links`` gives, per satellite in cluster
+    order, the linking property and whether it points primary →
+    satellite; ``link_error`` is set when some satellite cannot be
+    linked."""
+
+    clusters: tuple[tuple[str, tuple[str, ...], dict], ...]
+    primary: int | None
+    links: tuple[tuple[str, bool], ...] = ()
+    link_error: str | None = None
 
 
 class RecordAssembler:
-    """Builds :class:`AssembledEntity` objects for one query class."""
+    """Builds :class:`AssembledEntity` objects for one query class.
 
-    def __init__(self, schema: OntologySchema, query_class: str) -> None:
+    The assembler is a compiled plan: schema lookups (attribute
+    ownership, coercers, cluster layouts, link properties) are resolved
+    once and reused for every record.  It reflects the schema as it was
+    when built — :class:`~repro.core.instances.generator.InstanceGenerator`
+    builds a new one after :meth:`OntologySchema.refresh`."""
+
+    def __init__(self, schema: OntologySchema, query_class: str,
+                 *, reasoner: Reasoner | None = None) -> None:
         self.schema = schema
         self.query_class = query_class
-        self.reasoner = Reasoner(schema.ontology)
+        self.reasoner = reasoner or Reasoner(schema.ontology)
+        self._compile()
+
+    def _compile(self) -> None:
+        ontology = self.schema.ontology
+        self._attributes = {
+            str(path): (self.schema.resolve(path)[0], path.attribute)
+            for path in self.schema.attribute_paths()}
+        self._depth = {name: len(ontology.lineage(name))
+                       for name in ontology.class_names()}
+        self._coercers: dict[str, dict] = {}
+        #: owner-class tuple (first-appearance order) -> _Layout; each
+        #: layout is built in full, then published by one assignment.
+        self._layouts: dict[tuple[str, ...], _Layout] = {}
 
     def assemble(self, record: dict[str, str | None], *, source_id: str,
                  record_index: int) -> AssembledEntity | None:
         """Assemble one aligned record; returns None when the record holds
         no attribute belonging to the query class's subtree."""
+        attributes = self._attributes
         by_class: dict[str, dict[str, str]] = {}
         for attribute_id, raw in record.items():
             if raw is None:
                 continue
-            path = AttributePath.parse(attribute_id)
-            owner, _prop = self.schema.resolve(path)
-            by_class.setdefault(owner, {})[path.attribute] = raw
+            owned = attributes.get(attribute_id)
+            if owned is None:
+                owned = self._resolve(attribute_id)
+            owner, attribute = owned
+            raw_values = by_class.get(owner)
+            if raw_values is None:
+                raw_values = by_class[owner] = {}
+            raw_values[attribute] = raw
 
-        clusters = self._cluster_classes(list(by_class))
-        primary_cluster = self._primary_cluster(clusters)
-        if primary_cluster is None:
+        owners = tuple(by_class)
+        layout = self._layouts.get(owners)
+        if layout is None:
+            layout = self._layout(owners)
+            self._layouts[owners] = layout
+        if layout.primary is None:
             return None
+        if layout.link_error is not None:
+            raise InstanceGenerationError(layout.link_error)
 
-        entity: AssembledEntity | None = None
-        individuals: dict[str, Individual] = {}
+        individuals: list[Individual] = []
         errors: list[str] = []
-        for cluster in clusters:
-            specific = cluster[-1]  # most specific class in the chain
+        for specific, members, coercers in layout.clusters:
             values: dict[str, object] = {}
-            for class_name in cluster:
-                for attribute, raw in by_class.get(class_name, {}).items():
+            for class_name in members:
+                for attribute, raw in by_class[class_name].items():
                     try:
-                        values[attribute] = self.reasoner.coerce(
-                            specific, attribute, raw)
+                        values[attribute] = coercers[attribute](raw,
+                                                                attribute)
                     except ValidationError as exc:
                         errors.append(str(exc))
-            individual = Individual(
+            individuals.append(Individual(
                 _identifier(specific, source_id, record_index), specific,
-                values)
-            individuals[specific] = individual
+                values))
 
-        primary = individuals[primary_cluster[-1]]
-        satellites = [ind for cls, ind in individuals.items()
-                      if ind is not primary]
-        self._link(primary, satellites)
-        entity = AssembledEntity(primary, satellites, source_id,
-                                 record_index, errors)
-        return entity
+        primary = individuals.pop(layout.primary)
+        for satellite, (name, forward) in zip(individuals, layout.links):
+            if forward:
+                primary.link(name, satellite)
+            else:
+                satellite.link(name, primary)
+        return AssembledEntity(primary, individuals, source_id,
+                               record_index, errors)
 
     # ------------------------------------------------------------------
 
+    def _resolve(self, attribute_id: str) -> tuple[str, str]:
+        """Ownership of an id outside the compiled table: raises the
+        schema's own error for ids it does not know, and recompiles when
+        the schema gained the id after this plan was built."""
+        self.schema.resolve(AttributePath.parse(attribute_id))
+        self._compile()
+        return self._attributes[attribute_id]
+
+    def _layout(self, owners: tuple[str, ...]) -> _Layout:
+        clusters = self._cluster_classes(list(owners))
+        primary = self._primary_cluster(clusters)
+        compiled = tuple((cluster[-1], tuple(cluster),
+                          self._coercers_for(cluster[-1]))
+                         for cluster in clusters)
+        if primary is None:
+            return _Layout(compiled, None)
+        primary_class = clusters[primary][-1]
+        links: list[tuple[str, bool]] = []
+        for index, cluster in enumerate(clusters):
+            if index == primary:
+                continue
+            link = self._link_property(primary_class, cluster[-1])
+            if isinstance(link, str):
+                return _Layout(compiled, primary, link_error=link)
+            links.append(link)
+        return _Layout(compiled, primary, tuple(links))
+
+    def _coercers_for(self, class_name: str) -> dict:
+        """Attribute name -> range coercer, as seen from ``class_name``
+        (an inherited attribute uses its most specific declaration)."""
+        coercers = self._coercers.get(class_name)
+        if coercers is None:
+            coercers = {attr.name: range_coercer(attr.range)
+                        for attr in
+                        self.schema.ontology.all_attributes(class_name)}
+            self._coercers[class_name] = coercers
+        return coercers
+
     def _cluster_classes(self, classes: list[str]) -> list[list[str]]:
         """Group classes lying on one subclass chain; each cluster is
-        ordered general → specific."""
+        ordered general → specific.
+
+        Deeper classes go first so they absorb their ancestors; classes
+        of equal depth keep their order in ``classes`` (first appearance
+        in the record), so the layout never depends on hash order."""
         remaining = set(classes)
         clusters: list[list[str]] = []
-        # Sort by lineage depth so specific classes absorb their ancestors.
-        for class_name in sorted(remaining,
-                                 key=lambda c: -len(self.schema.ontology.lineage(c))):
+        for class_name in sorted(classes,
+                                 key=lambda c: -self._depth[c]):
             if class_name not in remaining:
                 continue
             chain = [class_name]
@@ -154,26 +248,25 @@ class RecordAssembler:
             clusters.append(chain)
         return clusters
 
-    def _primary_cluster(self, clusters: list[list[str]]) -> list[str] | None:
-        for cluster in clusters:
+    def _primary_cluster(self, clusters: list[list[str]]) -> int | None:
+        for index, cluster in enumerate(clusters):
             for class_name in cluster:
                 if self.reasoner.is_subclass(class_name, self.query_class):
-                    return cluster
+                    return index
         return None
 
-    def _link(self, primary: Individual, satellites: list[Individual]) -> None:
-        """Attach satellites through declared object properties."""
-        for satellite in satellites:
-            properties = self.schema.object_properties_between(
-                primary.class_name, satellite.class_name)
-            if not properties:
-                # Also allow satellite → primary direction.
-                reverse = self.schema.object_properties_between(
-                    satellite.class_name, primary.class_name)
-                if reverse:
-                    satellite.link(reverse[0].name, primary)
-                    continue
-                raise InstanceGenerationError(
-                    f"no object property connects {primary.class_name!r} "
-                    f"and {satellite.class_name!r}; cannot assemble record")
-            primary.link(properties[0].name, satellite)
+    def _link_property(self, primary: str,
+                       satellite: str) -> tuple[str, bool] | str:
+        """The declared object property linking a satellite to the
+        primary, as (name, points primary → satellite); an error message
+        when none connects them."""
+        properties = self.schema.object_properties_between(primary,
+                                                           satellite)
+        if properties:
+            return properties[0].name, True
+        # Also allow satellite → primary direction.
+        reverse = self.schema.object_properties_between(satellite, primary)
+        if reverse:
+            return reverse[0].name, False
+        return (f"no object property connects {primary!r} and "
+                f"{satellite!r}; cannot assemble record")

@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ...errors import InstanceGenerationError
+from ...ontology.reasoner import Reasoner
 from ...ontology.schema import OntologySchema
-from ...ontology.validation import validate_individual
+from ...ontology.validation import IndividualValidator
 from ..extractor.manager import ExtractionOutcome
 from .assembly import AssembledEntity, RecordAssembler
 from .errors import ErrorReport
@@ -40,19 +41,51 @@ class GenerationResult:
         return len(self.entities)
 
 
+class _Plans:
+    """Everything compiled from one generation of the schema: the
+    validator's per-class tables and one assembler per query class."""
+
+    def __init__(self, schema: OntologySchema, reasoner: Reasoner) -> None:
+        self.generation = schema.generation
+        self.validator = IndividualValidator(schema.ontology, reasoner)
+        self.assemblers: dict[str, RecordAssembler] = {}
+
+
 class InstanceGenerator:
-    """Builds ontology instances from raw extraction output."""
+    """Builds ontology instances from raw extraction output.
+
+    Schema work is done once per plan, not once per value: the generator
+    keeps one :class:`Reasoner` and, per schema generation, compiled
+    assemblers and validation tables.  :meth:`OntologySchema.refresh`
+    bumps the generation, which drops them.  Plans are built in full and
+    then published by one assignment, so concurrent ``generate()`` calls
+    never see a half-built plan."""
 
     def __init__(self, schema: OntologySchema, *,
                  validate: bool = True) -> None:
         self.schema = schema
         self.validate = validate
+        self.reasoner = Reasoner(schema.ontology)
+        self._plans = _Plans(schema, self.reasoner)
+
+    def _plan(self, query_class: str) -> tuple[RecordAssembler,
+                                               IndividualValidator]:
+        plans = self._plans
+        if plans.generation != self.schema.generation:
+            plans = _Plans(self.schema, self.reasoner)
+            self._plans = plans
+        assembler = plans.assemblers.get(query_class)
+        if assembler is None:
+            assembler = RecordAssembler(self.schema, query_class,
+                                        reasoner=self.reasoner)
+            plans.assemblers[query_class] = assembler
+        return assembler, plans.validator
 
     def generate(self, outcome: ExtractionOutcome, query_class: str,
                  *, merge_key: list[str] | None = None) -> GenerationResult:
         """Turn an extraction outcome into assembled entities."""
         result = GenerationResult()
-        assembler = RecordAssembler(self.schema, query_class)
+        assembler, validator = self._plan(query_class)
 
         for problem in outcome.problems:
             result.errors.add("extraction", problem.message,
@@ -91,8 +124,7 @@ class InstanceGenerator:
                                       source_id=source_id)
                 if self.validate:
                     for individual in entity.all_individuals():
-                        report = validate_individual(self.schema.ontology,
-                                                     individual)
+                        report = validator.validate(individual)
                         for problem_text in report.problems:
                             result.errors.add("generation", problem_text,
                                               source_id=source_id)

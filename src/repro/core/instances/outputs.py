@@ -17,13 +17,15 @@ renders a list of assembled entities:
 from __future__ import annotations
 
 import json as _json
+from datetime import date
 
 from ...errors import InstanceGenerationError
 from ...ontology.model import Individual
 from ...ontology.owlxml import add_individual_triples
 from ...rdf.graph import Graph
-from ...rdf.namespace import Namespace, NamespaceManager
-from ...rdf.rdfxml import serialize_rdfxml
+from ...rdf.namespace import RDF, Namespace, NamespaceManager
+from ...rdf.rdfxml import Row, RdfXmlWriter, iri_row, literal_row
+from ...rdf.terms import literal_parts
 from ...rdf.turtle import serialize_turtle
 from ...xmlkit import Document, Element, serialize_xml
 from ...ontology.schema import OntologySchema
@@ -31,20 +33,29 @@ from .assembly import AssembledEntity
 
 OUTPUT_FORMATS = ("owl", "turtle", "ntriples", "xml", "json", "text")
 
+_RDF_TYPE = RDF.type.value
+
+
+def _namespaces(namespace: Namespace) -> NamespaceManager:
+    manager = NamespaceManager()
+    manager.bind("onto", namespace)
+    return manager
+
 
 def entities_to_graph(schema: OntologySchema,
                       entities: list[AssembledEntity],
                       *, include_schema: bool = False) -> Graph:
-    """Collect all individuals of the entities into one RDF graph."""
+    """Collect all individuals of the entities into one RDF graph.
+
+    The first individual seen with an identifier describes it; later
+    ones with the same identifier are skipped."""
     ontology = schema.ontology
-    manager = NamespaceManager()
     namespace = Namespace(ontology.base_iri)
-    manager.bind("onto", namespace)
     if include_schema:
         from ...ontology.owlxml import ontology_to_graph
         graph = ontology_to_graph(ontology, include_individuals=False)
     else:
-        graph = Graph(namespace_manager=manager)
+        graph = Graph(namespace_manager=_namespaces(namespace))
     seen: set[str] = set()
     for entity in entities:
         for individual in entity.all_individuals():
@@ -53,6 +64,47 @@ def entities_to_graph(schema: OntologySchema,
             seen.add(individual.identifier)
             add_individual_triples(graph, namespace, individual)
     return graph
+
+
+def _render_owl(schema: OntologySchema,
+                entities: list[AssembledEntity]) -> str:
+    """RDF/XML written straight from the individuals.
+
+    The same document as ``serialize_rdfxml(entities_to_graph(...))``,
+    byte for byte, errors included — subjects sorted by IRI, each node's
+    rows sorted and deduplicated as the graph's set would — without
+    building the graph, its triples or a DOM."""
+    namespace = Namespace(schema.ontology.base_iri)
+    base = namespace.base
+    checked: dict[str, str] = {}
+
+    def iri(local: str) -> str:
+        value = checked.get(local)
+        if value is None:
+            value = namespace.term(local).value  # RdfError if forbidden
+            checked[local] = value
+        return value
+
+    nodes: dict[str, list[Row]] = {}
+    for entity in entities:
+        for individual in entity.all_individuals():
+            if base + individual.identifier in nodes:
+                continue
+            subject = iri(individual.identifier)
+            rows = [iri_row(_RDF_TYPE, iri(individual.class_name))]
+            for name, value in individual.values.items():
+                for item in (value if isinstance(value, list) else (value,)):
+                    rows.append(literal_row(iri(name),
+                                            *literal_parts(item)))
+            for name, targets in individual.links.items():
+                for target in targets:
+                    rows.append(iri_row(iri(name), iri(target.identifier)))
+            nodes[subject] = rows
+
+    writer = RdfXmlWriter(_namespaces(namespace))
+    for subject in sorted(nodes):
+        writer.node(subject, sorted(set(nodes[subject])))
+    return writer.document()
 
 
 def _individual_element(individual: Individual,
@@ -86,7 +138,7 @@ def render_entities(schema: OntologySchema, entities: list[AssembledEntity],
                     format: str = "owl") -> str:
     """Serialize entities in one of :data:`OUTPUT_FORMATS`."""
     if format == "owl":
-        return serialize_rdfxml(entities_to_graph(schema, entities))
+        return _render_owl(schema, entities)
     if format == "turtle":
         return serialize_turtle(entities_to_graph(schema, entities))
     if format == "ntriples":
@@ -100,7 +152,7 @@ def render_entities(schema: OntologySchema, entities: list[AssembledEntity],
         return serialize_xml(Document(root))
     if format == "json":
         return _json.dumps([_entity_dict(entity) for entity in entities],
-                           indent=2, sort_keys=True)
+                           indent=2, sort_keys=True, default=_json_value)
     if format == "text":
         lines: list[str] = []
         for entity in entities:
@@ -121,6 +173,15 @@ def render_entities(schema: OntologySchema, entities: list[AssembledEntity],
     raise InstanceGenerationError(
         f"unsupported output format {format!r}; expected one of "
         f"{OUTPUT_FORMATS}")
+
+
+def _json_value(value) -> str:
+    """JSON text for values ``json`` has no type for: dates and
+    date-times as their ISO lexical form, as in the OWL literal."""
+    if isinstance(value, date):
+        return value.isoformat()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON "
+                    "serializable")
 
 
 def _entity_dict(entity: AssembledEntity) -> dict:

@@ -12,7 +12,9 @@ the paper's data flow relies on:
 
 from __future__ import annotations
 
+import functools
 from datetime import date, datetime
+from typing import Callable
 
 from ..errors import OntologyError, ValidationError
 from .model import Individual, Ontology
@@ -57,15 +59,6 @@ class Reasoner:
     # Datatype handling
     # ------------------------------------------------------------------
 
-    _COERCERS = {
-        "string": str,
-        "integer": int,
-        "decimal": float,
-        "double": float,
-        "float": float,
-        "anyURI": str,
-    }
-
     def coerce(self, class_name: str, attribute: str, raw: object):
         """Coerce a raw extracted value to the attribute's declared range.
 
@@ -77,44 +70,74 @@ class Reasoner:
         if prop is None:
             raise OntologyError(
                 f"class {class_name!r} has no attribute {attribute!r}")
-        range_name = prop.range
-        if range_name == "boolean":
-            if isinstance(raw, bool):
-                return raw
-            text = str(raw).strip().lower()
-            if text in ("true", "1", "yes"):
-                return True
-            if text in ("false", "0", "no"):
-                return False
-            raise ValidationError(
-                f"value {raw!r} is not a boolean for {attribute!r}")
-        if range_name == "date":
-            if isinstance(raw, date) and not isinstance(raw, datetime):
-                return raw
-            try:
-                return date.fromisoformat(str(raw).strip())
-            except ValueError as exc:
-                raise ValidationError(
-                    f"value {raw!r} is not an ISO date for {attribute!r}") from exc
-        if range_name == "dateTime":
-            if isinstance(raw, datetime):
-                return raw
-            try:
-                return datetime.fromisoformat(str(raw).strip())
-            except ValueError as exc:
-                raise ValidationError(
-                    f"value {raw!r} is not an ISO dateTime for "
-                    f"{attribute!r}") from exc
-        coercer = self._COERCERS.get(range_name)
-        if coercer is None:
-            raise OntologyError(f"unsupported range {range_name!r}")
-        try:
-            if coercer is int and isinstance(raw, str):
-                return int(raw.strip())
-            if coercer is float and isinstance(raw, str):
-                return float(raw.strip())
-            return coercer(raw)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"value {raw!r} is not a valid {range_name} for "
-                f"{attribute!r}") from exc
+        return range_coercer(prop.range)(raw, attribute)
+
+
+def _coerce_boolean(raw: object, attribute: str) -> bool:
+    if isinstance(raw, bool):
+        return raw
+    text = str(raw).strip().lower()
+    if text in ("true", "1", "yes"):
+        return True
+    if text in ("false", "0", "no"):
+        return False
+    raise ValidationError(
+        f"value {raw!r} is not a boolean for {attribute!r}")
+
+
+def _coerce_date(raw: object, attribute: str) -> date:
+    if isinstance(raw, date) and not isinstance(raw, datetime):
+        return raw
+    try:
+        return date.fromisoformat(str(raw).strip())
+    except ValueError as exc:
+        raise ValidationError(
+            f"value {raw!r} is not an ISO date for {attribute!r}") from exc
+
+
+def _coerce_datetime(raw: object, attribute: str) -> datetime:
+    if isinstance(raw, datetime):
+        return raw
+    try:
+        return datetime.fromisoformat(str(raw).strip())
+    except ValueError as exc:
+        raise ValidationError(
+            f"value {raw!r} is not an ISO dateTime for "
+            f"{attribute!r}") from exc
+
+
+def _coerce_plain(range_name: str, convert: Callable, raw: object,
+                  attribute: str):
+    """Apply ``convert`` (stripping strings first for numbers) and report
+    failures against ``range_name``."""
+    try:
+        if convert is not str and isinstance(raw, str):
+            return convert(raw.strip())
+        return convert(raw)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"value {raw!r} is not a valid {range_name} for "
+            f"{attribute!r}") from exc
+
+
+_RANGE_COERCERS: dict[str, Callable] = {
+    "boolean": _coerce_boolean,
+    "date": _coerce_date,
+    "dateTime": _coerce_datetime,
+    **{name: functools.partial(_coerce_plain, name, convert)
+       for name, convert in (
+        ("string", str), ("integer", int), ("decimal", float),
+        ("double", float), ("float", float), ("anyURI", str))},
+}
+
+
+def range_coercer(range_name: str) -> Callable[[object, str], object]:
+    """The ``(raw, attribute) -> value`` coercer for an XSD range.
+
+    Every coercer raises :class:`ValidationError` naming ``attribute``
+    when the value cannot be interpreted; the instance generator looks
+    one up per (class, attribute) once and reuses it for every value."""
+    coercer = _RANGE_COERCERS.get(range_name)
+    if coercer is None:
+        raise OntologyError(f"unsupported range {range_name!r}")
+    return coercer

@@ -26,20 +26,29 @@ class OntologySchema:
 
     def __init__(self, ontology: Ontology) -> None:
         self.ontology = ontology
+        #: Bumped by every :meth:`refresh`; anything compiled from the
+        #: schema (the instance generator's assembly plans) is valid for
+        #: one generation only.
+        self.generation = 0
         self._paths: dict[str, tuple[str, DatatypeProperty]] = {}
         self._rebuild()
 
     def _rebuild(self) -> None:
-        self._paths.clear()
+        paths: dict[str, tuple[str, DatatypeProperty]] = {}
         for cls in self.ontology.classes():
             lineage = self.ontology.lineage(cls.name)
             for attr in cls.attributes.values():
                 path = ".".join(lineage + [attr.name])
-                self._paths[path] = (cls.name, attr)
+                paths[path] = (cls.name, attr)
+        self._paths = paths  # one assignment: readers never see a partial table
 
     def refresh(self) -> None:
-        """Recompute paths after the ontology schema changed."""
+        """Recompute paths after the ontology schema changed, and drop
+        every plan compiled from the old schema."""
         self._rebuild()
+        # Bumped after the new table is published, so a reader that sees
+        # the new generation also sees the new paths.
+        self.generation += 1
 
     # ------------------------------------------------------------------
     # Path enumeration and resolution

@@ -9,9 +9,10 @@ generator produces can be checked against the schema before serialization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .model import Individual, Ontology
-from .reasoner import Reasoner
+from .model import Individual, ObjectProperty, Ontology
+from .reasoner import Reasoner, range_coercer
 from ..errors import ValidationError
 
 
@@ -36,66 +37,100 @@ class ValidationReport:
             raise ValidationError("; ".join(self.problems))
 
 
-def validate_individual(ontology: Ontology, individual: Individual,
-                        *, reasoner: Reasoner | None = None) -> ValidationReport:
-    """Check one individual against the schema.
+class _ClassRules:
+    """One class's validation tables: declared (possibly inherited)
+    attributes with their range coercers, and object properties."""
 
-    Verifies: the class exists; every value belongs to a declared (possibly
-    inherited) attribute; values match the declared XSD range; functional
-    attributes are single-valued; links target declared object properties
-    and range-compatible individuals.
-    """
-    report = ValidationReport()
-    reasoner = reasoner or Reasoner(ontology)
-    if not ontology.has_class(individual.class_name):
-        report.add(f"individual {individual.identifier!r} has unknown class "
-                   f"{individual.class_name!r}")
+    def __init__(self, ontology: Ontology, class_name: str) -> None:
+        self.attributes: dict[str, tuple[bool, Callable]] = {
+            attr.name: (attr.functional, range_coercer(attr.range))
+            for attr in ontology.all_attributes(class_name)}
+        self.object_properties: dict[str, ObjectProperty] = {
+            prop.name: prop
+            for prop in ontology.all_object_properties(class_name)}
+
+
+class IndividualValidator:
+    """Validates individuals, compiling each class's schema lookups once.
+
+    Holds the tables for one state of the schema: build a new validator
+    after the ontology changes."""
+
+    def __init__(self, ontology: Ontology,
+                 reasoner: Reasoner | None = None) -> None:
+        self.ontology = ontology
+        self.reasoner = reasoner or Reasoner(ontology)
+        self._rules: dict[str, _ClassRules] = {}
+
+    def validate(self, individual: Individual) -> ValidationReport:
+        """Check one individual against the schema.
+
+        Verifies: the class exists; every value belongs to a declared
+        (possibly inherited) attribute; values match the declared XSD
+        range; functional attributes are single-valued; links target
+        declared object properties and range-compatible individuals.
+        """
+        report = ValidationReport()
+        class_name = individual.class_name
+        rules = self._rules.get(class_name)
+        if rules is None:
+            if not self.ontology.has_class(class_name):
+                report.add(f"individual {individual.identifier!r} has "
+                           f"unknown class {class_name!r}")
+                return report
+            rules = _ClassRules(self.ontology, class_name)
+            self._rules[class_name] = rules
+
+        for name, value in individual.values.items():
+            declared = rules.attributes.get(name)
+            if declared is None:
+                report.add(f"{individual.identifier}: undeclared attribute "
+                           f"{name!r} for class {class_name!r}")
+                continue
+            functional, coerce = declared
+            candidates = value if isinstance(value, list) else (value,)
+            if functional and isinstance(value, list) and len(value) > 1:
+                report.add(f"{individual.identifier}: functional attribute "
+                           f"{name!r} has {len(value)} values")
+            for item in candidates:
+                try:
+                    coerce(item, name)
+                except ValidationError as exc:
+                    report.add(f"{individual.identifier}: {exc}")
+
+        for name, targets in individual.links.items():
+            prop = rules.object_properties.get(name)
+            if prop is None:
+                report.add(f"{individual.identifier}: undeclared object "
+                           f"property {name!r} for class {class_name!r}")
+                continue
+            if prop.functional and len(targets) > 1:
+                report.add(f"{individual.identifier}: functional object "
+                           f"property {name!r} has {len(targets)} targets")
+            for target in targets:
+                if not self.ontology.has_class(target.class_name):
+                    report.add(f"{individual.identifier}: link {name!r} "
+                               f"targets unknown class "
+                               f"{target.class_name!r}")
+                elif not self.reasoner.is_subclass(target.class_name,
+                                                   prop.range):
+                    report.add(f"{individual.identifier}: link {name!r} "
+                               f"targets {target.class_name!r}, expected "
+                               f"{prop.range!r}")
         return report
 
-    declared = {a.name: a for a in ontology.all_attributes(individual.class_name)}
-    for name, value in individual.values.items():
-        prop = declared.get(name)
-        if prop is None:
-            report.add(f"{individual.identifier}: undeclared attribute {name!r} "
-                       f"for class {individual.class_name!r}")
-            continue
-        candidates = value if isinstance(value, list) else [value]
-        if prop.functional and isinstance(value, list) and len(value) > 1:
-            report.add(f"{individual.identifier}: functional attribute {name!r} "
-                       f"has {len(value)} values")
-        for item in candidates:
-            try:
-                reasoner.coerce(individual.class_name, name, item)
-            except ValidationError as exc:
-                report.add(f"{individual.identifier}: {exc}")
 
-    object_props = {p.name: p for p in
-                    ontology.all_object_properties(individual.class_name)}
-    for name, targets in individual.links.items():
-        prop = object_props.get(name)
-        if prop is None:
-            report.add(f"{individual.identifier}: undeclared object property "
-                       f"{name!r} for class {individual.class_name!r}")
-            continue
-        if prop.functional and len(targets) > 1:
-            report.add(f"{individual.identifier}: functional object property "
-                       f"{name!r} has {len(targets)} targets")
-        for target in targets:
-            if not ontology.has_class(target.class_name):
-                report.add(f"{individual.identifier}: link {name!r} targets "
-                           f"unknown class {target.class_name!r}")
-            elif not reasoner.is_subclass(target.class_name, prop.range):
-                report.add(f"{individual.identifier}: link {name!r} targets "
-                           f"{target.class_name!r}, expected {prop.range!r}")
-    return report
+def validate_individual(ontology: Ontology, individual: Individual,
+                        *, reasoner: Reasoner | None = None) -> ValidationReport:
+    """Check one individual against the schema (see
+    :meth:`IndividualValidator.validate`)."""
+    return IndividualValidator(ontology, reasoner).validate(individual)
 
 
 def validate_ontology(ontology: Ontology) -> ValidationReport:
     """Check every individual currently held by the ontology."""
     report = ValidationReport()
-    reasoner = Reasoner(ontology)
+    validator = IndividualValidator(ontology)
     for individual in ontology.individuals():
-        sub_report = validate_individual(ontology, individual,
-                                         reasoner=reasoner)
-        report.problems.extend(sub_report.problems)
+        report.problems.extend(validator.validate(individual).problems)
     return report

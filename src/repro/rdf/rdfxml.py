@@ -5,7 +5,9 @@ of the paper, so this is the default output format of the Instance
 Generator.  The serializer emits typed node elements (one per subject, using
 the subject's ``rdf:type`` when it can be compacted to a qualified name) and
 property elements with ``rdf:resource`` references, ``rdf:datatype`` typed
-literals or ``xml:lang`` tagged literals.  The parser accepts the striped
+literals or ``xml:lang`` tagged literals, written line by line by
+:class:`RdfXmlWriter` — the one emitter behind both :func:`serialize_rdfxml`
+and the Instance Generator's direct OWL writer.  The parser accepts the striped
 syntax produced here plus the common authoring variants (``rdf:Description``
 nodes, ``rdf:ID``, ``rdf:nodeID``, nested node elements).
 """
@@ -13,13 +15,16 @@ nodes, ``rdf:ID``, ``rdf:nodeID``, nested node elements).
 from __future__ import annotations
 
 from ..errors import RdfError, RdfSyntaxError, XmlSyntaxError
-from ..xmlkit import Document, Element, parse_xml, serialize_xml
+from ..xmlkit import Element, parse_xml
+from ..xmlkit.serializer import escape_attr, escape_text
 from .graph import Graph
 from .namespace import NamespaceManager, RDF
-from .terms import IRI, BlankNode, Literal, Object, Subject
+from .terms import (IRI, BlankNode, Literal, Object, Subject, literal_n3,
+                    literal_parts)
 
 _RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 _XML_NS = "http://www.w3.org/XML/1998/namespace"
+_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>'
 
 #: Deepest chain of nested node elements (node → property → node …)
 #: accepted; deeper documents raise RdfSyntaxError.
@@ -30,93 +35,148 @@ MAX_NODE_DEPTH = 100
 # Serializer
 # ---------------------------------------------------------------------------
 
+_RDF_TYPE = RDF.type.value
+
+#: Object kinds of a property row; the non-literal ones are also the
+#: ``rdf:`` attribute naming the object.
+_RESOURCE, _NODE_ID, _LITERAL = "resource", "nodeID", "literal"
+
+#: One property of a node: (predicate IRI, object in N-Triples form,
+#: object kind, IRI / blank-node label / lexical form, datatype IRI,
+#: language tag).  The first two fields order a node's rows and, since
+#: the N-Triples form is unique per object, identify the triple.
+Row = tuple[str, str, str, str, str | None, str | None]
+
+
+def iri_row(predicate: str, iri: str) -> Row:
+    """A property row whose object is an IRI."""
+    return (predicate, f"<{iri}>", _RESOURCE, iri, None, None)
+
+
+def literal_row(predicate: str, lexical: str, datatype: str | None = None,
+                language: str | None = None) -> Row:
+    """A property row whose object is a literal."""
+    return (predicate, literal_n3(lexical, datatype, language), _LITERAL,
+            lexical, datatype, language)
+
+
+def _term_row(predicate: IRI, obj: Object) -> Row:
+    if isinstance(obj, IRI):
+        return iri_row(predicate.value, obj.value)
+    if isinstance(obj, BlankNode):
+        return (predicate.value, obj.n3(), _NODE_ID, obj.label, None, None)
+    return literal_row(predicate.value, *literal_parts(obj))
+
+
+class RdfXmlWriter:
+    """The RDF/XML line emitter behind every RDF/XML document written.
+
+    Feed it one node per subject, in document order, each with its rows
+    sorted; :meth:`document` then returns the text.  A node is a typed
+    node element when one of its ``rdf:type`` objects has a qualified
+    name (that type becomes the tag and is not repeated as a property),
+    otherwise ``rdf:Description``; the root declares exactly the
+    prefixes the written names use."""
+
+    def __init__(self, manager: NamespaceManager) -> None:
+        self._manager = manager
+        self._qnames: dict[str, tuple[str, str] | None] = {}
+        self._used = {"rdf"}
+        self._lines: list[str] = []
+
+    def _qname(self, iri: str) -> str | None:
+        try:
+            entry = self._qnames[iri]
+        except KeyError:
+            compact = self._manager.compact(IRI(iri))
+            entry = (None if compact is None or compact.endswith(":")
+                     else (compact, compact.split(":", 1)[0]))
+            self._qnames[iri] = entry
+        if entry is None:
+            return None
+        self._used.add(entry[1])
+        return entry[0]
+
+    def node(self, subject: str, rows: list[Row], *,
+             blank: bool = False) -> None:
+        """Write one node: ``subject`` is an IRI (a blank-node label when
+        ``blank``), ``rows`` its properties sorted by (predicate IRI,
+        object N-Triples form)."""
+        type_iri = None
+        for predicate, _order, kind, value, _datatype, _language in rows:
+            if (predicate == _RDF_TYPE and kind == _RESOURCE
+                    and self._qname(value) is not None):
+                type_iri = value
+                break
+        tag = (self._qname(type_iri) if type_iri is not None
+               else "rdf:Description")
+        about = "rdf:nodeID" if blank else "rdf:about"
+        head = f'  <{tag} {about}="{escape_attr(subject)}"'
+        lines = self._lines
+        first = len(lines)
+        lines.append(head)
+        for predicate, _order, kind, value, datatype, language in rows:
+            if (kind == _RESOURCE and value == type_iri
+                    and predicate == _RDF_TYPE):
+                continue
+            name = self._qname(predicate)
+            if name is None:
+                raise RdfError(
+                    f"cannot serialize predicate {predicate} to RDF/XML: "
+                    "no namespace prefix is bound for it")
+            if kind != _LITERAL:
+                lines.append(
+                    f'    <{name} rdf:{kind}="{escape_attr(value)}"/>')
+                continue
+            attributes = ""
+            if datatype is not None:
+                attributes = f' rdf:datatype="{escape_attr(datatype)}"'
+            if language is not None:
+                attributes += f' xml:lang="{escape_attr(language)}"'
+            lines.append(
+                f"    <{name}{attributes}>{escape_text(value)}</{name}>")
+        if len(lines) == first + 1:
+            lines[first] = head + "/>"
+        else:
+            lines[first] = head + ">"
+            lines.append(f"  </{tag}>")
+
+    def document(self) -> str:
+        """The complete document for every node written so far."""
+        namespaces = {f"xmlns:{prefix}": base
+                      for prefix, base in self._manager.namespaces()
+                      if prefix in self._used}
+        namespaces.setdefault("xmlns:rdf", _RDF_NS)
+        root = "<rdf:RDF" + "".join(
+            f' {name}="{escape_attr(base)}"'
+            for name, base in namespaces.items())
+        if not self._lines:
+            return f'{_DECLARATION}\n{root}/>\n'
+        return "\n".join([_DECLARATION, root + ">", *self._lines,
+                          "</rdf:RDF>"]) + "\n"
+
+
 class RdfXmlSerializer:
     """Serialize a :class:`Graph` to an RDF/XML string."""
 
     def __init__(self, graph: Graph) -> None:
         self._graph = graph
-        self._manager = graph.namespace_manager
 
     def serialize(self) -> str:
-        """Render the graph as an RDF/XML document string."""
-        root = Element("rdf:RDF", namespace=_RDF_NS)
-        used_prefixes = {"rdf"}
-        body_nodes: list[Element] = []
-
+        """Render the graph as an RDF/XML document string: subjects
+        sorted IRIs first, then blank nodes."""
+        writer = RdfXmlWriter(self._graph.namespace_manager)
         subjects = sorted(
             {t.subject for t in self._graph},
             key=lambda s: (isinstance(s, BlankNode), str(s)))
-        described_inline: set[Subject] = set()
         for subject in subjects:
-            if subject in described_inline:
-                continue
-            node = self._describe(subject, used_prefixes)
-            body_nodes.append(node)
-
-        for prefix, base in sorted(self._manager.namespaces()):
-            if prefix in used_prefixes:
-                root.attributes[f"xmlns:{prefix}"] = base
-        root.attributes.setdefault("xmlns:rdf", _RDF_NS)
-        for node in body_nodes:
-            root.append(node)
-        return serialize_xml(Document(root))
-
-    def _qname(self, iri: IRI, used_prefixes: set[str]) -> str | None:
-        compact = self._manager.compact(iri)
-        if compact is None or compact.endswith(":"):
-            return None
-        prefix = compact.split(":", 1)[0]
-        used_prefixes.add(prefix)
-        return compact
-
-    def _describe(self, subject: Subject, used_prefixes: set[str]) -> Element:
-        triples = sorted(self._graph.triples(subject, None, None),
-                         key=lambda t: (t.predicate.value, t.object.n3()))
-        type_iri: IRI | None = None
-        for triple in triples:
-            if triple.predicate == RDF.type and isinstance(triple.object, IRI):
-                qname = self._qname(triple.object, used_prefixes)
-                if qname is not None:
-                    type_iri = triple.object
-                    break
-
-        if type_iri is not None:
-            tag = self._qname(type_iri, used_prefixes)
-            node = Element(tag or "rdf:Description")
-        else:
-            node = Element("rdf:Description")
-
-        if isinstance(subject, IRI):
-            node.attributes["rdf:about"] = subject.value
-        else:
-            node.attributes["rdf:nodeID"] = subject.label
-
-        for triple in triples:
-            if triple.predicate == RDF.type and triple.object == type_iri:
-                continue
-            node.append(self._property(triple.predicate, triple.object,
-                                       used_prefixes))
-        return node
-
-    def _property(self, predicate: IRI, obj: Object,
-                  used_prefixes: set[str]) -> Element:
-        tag = self._qname(predicate, used_prefixes)
-        if tag is None:
-            raise RdfError(
-                f"cannot serialize predicate {predicate} to RDF/XML: no "
-                "namespace prefix is bound for it")
-        element = Element(tag)
-        if isinstance(obj, IRI):
-            element.attributes["rdf:resource"] = obj.value
-        elif isinstance(obj, BlankNode):
-            element.attributes["rdf:nodeID"] = obj.label
-        else:
-            if obj.datatype is not None:
-                element.attributes["rdf:datatype"] = obj.datatype.value
-            if obj.language is not None:
-                element.attributes["xml:lang"] = obj.language
-            element.append_text(obj.lexical)
-        return element
+            rows = sorted(_term_row(t.predicate, t.object)
+                          for t in self._graph.triples(subject, None, None))
+            if isinstance(subject, BlankNode):
+                writer.node(subject.label, rows, blank=True)
+            else:
+                writer.node(subject.value, rows)
+        return writer.document()
 
 
 def serialize_rdfxml(graph: Graph) -> str:

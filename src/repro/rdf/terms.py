@@ -8,6 +8,7 @@ enforced at construction time.
 
 from __future__ import annotations
 
+import datetime as _dt
 import itertools
 import re
 import threading
@@ -16,6 +17,7 @@ from typing import Union
 
 from ..errors import RdfError
 
+_XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 _IRI_FORBIDDEN = re.compile(r"[<>\"{}|^`\\\x00-\x20]")
 
 
@@ -107,21 +109,15 @@ class Literal:
 
     def n3(self) -> str:
         """N-Triples / Turtle rendering."""
-        escaped = (self.lexical.replace("\\", "\\\\").replace('"', '\\"')
-                   .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))
-        base = f'"{escaped}"'
-        if self.language is not None:
-            return f"{base}@{self.language}"
-        if self.datatype is not None:
-            return f"{base}^^{self.datatype.n3()}"
-        return base
+        return literal_n3(self.lexical,
+                          self.datatype.value if self.datatype else None,
+                          self.language)
 
     def to_python(self):
         """Convert to a native Python value based on the XSD datatype."""
         if self.datatype is None:
             return self.lexical
         name = self.datatype.local_name
-        import datetime as _dt
         try:
             if name in ("integer", "int", "long", "short", "byte",
                         "nonNegativeInteger", "positiveInteger"):
@@ -176,22 +172,45 @@ class Triple:
         return f"{self.subject.n3()} {self.predicate.n3()} {self.object.n3()} ."
 
 
-def python_to_literal(value, xsd_namespace: str = "http://www.w3.org/2001/XMLSchema#") -> Literal:
-    """Build a typed literal from a native Python value."""
-    import datetime as _dt
+def literal_n3(lexical: str, datatype: str | None = None,
+               language: str | None = None) -> str:
+    """N-Triples rendering of a literal given as its parts (datatype as
+    an IRI string)."""
+    escaped = (lexical.replace("\\", "\\\\").replace('"', '\\"')
+               .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))
+    if language is not None:
+        return f'"{escaped}"@{language}'
+    if datatype is not None:
+        return f'"{escaped}"^^<{datatype}>'
+    return f'"{escaped}"'
 
+
+def literal_parts(value, xsd_namespace: str = _XSD_NS,
+                  ) -> tuple[str, str | None, str | None]:
+    """(lexical form, datatype IRI, language tag) of the literal
+    :func:`python_to_literal` builds for ``value``."""
+    if isinstance(value, str):
+        return value, None, None
+    if isinstance(value, Literal):
+        return (value.lexical,
+                value.datatype.value if value.datatype else None,
+                value.language)
+    if isinstance(value, bool):
+        return ("true" if value else "false"), xsd_namespace + "boolean", None
+    if isinstance(value, int):
+        return str(value), xsd_namespace + "integer", None
+    if isinstance(value, float):
+        return repr(value), xsd_namespace + "double", None
+    if isinstance(value, _dt.datetime):
+        return value.isoformat(), xsd_namespace + "dateTime", None
+    if isinstance(value, _dt.date):
+        return value.isoformat(), xsd_namespace + "date", None
+    raise RdfError(f"cannot convert {type(value).__name__} to RDF literal")
+
+
+def python_to_literal(value, xsd_namespace: str = _XSD_NS) -> Literal:
+    """Build a typed literal from a native Python value."""
     if isinstance(value, Literal):
         return value
-    if isinstance(value, bool):
-        return Literal("true" if value else "false", IRI(xsd_namespace + "boolean"))
-    if isinstance(value, int):
-        return Literal(str(value), IRI(xsd_namespace + "integer"))
-    if isinstance(value, float):
-        return Literal(repr(value), IRI(xsd_namespace + "double"))
-    if isinstance(value, _dt.datetime):
-        return Literal(value.isoformat(), IRI(xsd_namespace + "dateTime"))
-    if isinstance(value, _dt.date):
-        return Literal(value.isoformat(), IRI(xsd_namespace + "date"))
-    if isinstance(value, str):
-        return Literal(value)
-    raise RdfError(f"cannot convert {type(value).__name__} to RDF literal")
+    lexical, datatype, _language = literal_parts(value, xsd_namespace)
+    return Literal(lexical, IRI(datatype) if datatype else None)

@@ -102,3 +102,48 @@ class TestQueryResultSerialize:
         for format in middleware.output_formats():
             rendered = result.serialize(format)
             assert isinstance(rendered, str)
+
+
+class TestDateValues:
+    """date and dateTime values render in every format; JSON and the RDF
+    formats carry the ISO lexical form."""
+
+    @pytest.fixture
+    def dated(self):
+        import datetime
+
+        from repro.core.instances import AssembledEntity
+        from repro.ontology import Individual, Ontology, OntologySchema
+        ontology = Ontology("events")
+        ontology.add_class("event")
+        ontology.add_attribute("event", "day", "date")
+        ontology.add_attribute("event", "at", "dateTime")
+        individual = Individual("event_S_0", "event", {
+            "day": datetime.date(2006, 7, 4),
+            "at": datetime.datetime(2006, 7, 4, 10, 30)})
+        return OntologySchema(ontology), [
+            AssembledEntity(individual, [], "S", 0)]
+
+    @pytest.mark.parametrize("format", ["owl", "turtle", "ntriples", "xml",
+                                        "json", "text"])
+    def test_every_format_renders(self, dated, format):
+        schema, items = dated
+        rendered = render_entities(schema, items, format)
+        assert "2006-07-04" in rendered
+        if format != "xml" and format != "text":
+            assert "2006-07-04T10:30:00" in rendered
+
+    def test_json_carries_the_owl_lexical_form(self, dated):
+        schema, items = dated
+        record = json.loads(render_entities(schema, items, "json"))[0]
+        assert record["day"] == "2006-07-04"
+        assert record["at"] == "2006-07-04T10:30:00"
+        owl = render_entities(schema, items, "owl")
+        assert ">2006-07-04<" in owl
+        assert ">2006-07-04T10:30:00<" in owl
+
+    def test_other_unserializable_values_still_fail(self, dated):
+        schema, items = dated
+        items[0].primary.values["day"] = object()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            render_entities(schema, items, "json")
