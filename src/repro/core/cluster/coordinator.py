@@ -1,41 +1,35 @@
-"""The query shard coordinator: an interleaving scheduler over one fleet.
+"""The fleet scheduler: one interleaving mediator over one worker fleet.
 
-One consumer query becomes one *sub-plan per shard*: the extraction
-schema is filtered down to each shard's sources (replica mappings ride
-along with their primary) and queued as a work item.  Unlike the PR 9
-coordinator — which held a lock for a whole query's fan-out, so
-concurrent callers serialized even while workers idled — the scheduler
-admits **multiple in-flight requests at once** and interleaves their
-shard items over the same workers:
+Every piece of fleet work is an admitted :class:`FleetRequest`.  One
+consumer query becomes one *sub-plan per shard*: the extraction schema
+is filtered down to each shard's sources (replica mappings ride along
+with their primary) and queued as a work item.  A durable ingest run
+(:class:`~repro.core.ingest.coordinator.ShardCoordinator`) is another
+request kind, whose items are journaled per-source jobs.  The
+scheduler admits **multiple in-flight requests at once** and
+interleaves their items over the same workers, without ever branching
+on what kind of request it serves:
 
 * a background dispatcher thread drains the pool's event queue and
-  keeps a per-request completion map keyed by the existing request
-  ids;
+  routes each event to its request by request id;
 * freed workers are fed from a fair-share ready queue — round-robin
   across in-flight requests, with per-tenant quotas
   (:class:`~repro.core.resilience.config.FleetConfig.tenant_quota`)
   bounding how many workers one tenant may occupy on a shared fleet;
 * worker death mid-item is detected by liveness checks and heartbeat
   age on the injectable clock (:class:`~repro.core.cluster.supervision.
-  WorkerSupervisor`, the same policy the ingest pipeline uses); only
-  the dead worker's item is released — back to the *front* of its
-  request's queue — while every other request keeps streaming.  A
-  worker that exhausts its restart budget degrades its current item's
-  sources into reported problems instead of failing the answer.
+  WorkerSupervisor`); only the dead worker's item is released to its
+  request while every other request keeps streaming.  A worker that
+  exhausts its restart budget is reported to the request whose item it
+  held: a query degrades that item's sources into reported problems,
+  an ingest run aborts.
 
 Admission is quota-checked up front: a query past the fleet-wide
 ``max_inflight_requests`` cap (or a tenant past its shard quota)
 raises :class:`~repro.errors.FleetQuotaExceeded`, which the server
-maps onto its RETRY_AFTER pushback frame.
-
-Thread-pool workers share the coordinator manager's live collaborators
-(breakers, fragment cache, source repositories, clock), so sharded
-answers are entity-for-entity identical to in-process execution.
-Spawn-subprocess workers hold *pickled replicas* of the repositories,
-taken when the fleet starts; the coordinator watches every registered
-tenant's source-repository mutation version and rebuilds the fleet —
-at the next idle moment — when any of them change.  See
-``docs/cluster.md`` for the full failure model and scheduler shape.
+maps onto its RETRY_AFTER pushback frame.  See ``docs/cluster.md``
+for the full failure model, the worker contexts and the fleet
+lifecycle.
 """
 
 from __future__ import annotations
@@ -62,7 +56,8 @@ from .supervision import WorkerSupervisor
 
 @dataclass
 class QueryWorkerContext:
-    """Everything a query worker needs, picklable as a unit.
+    """Everything one tenant's fleet worker needs (query and ingest
+    items alike), picklable as a unit.
 
     Thread workers share the coordinator manager's live collaborators
     (``extractors``, ``cache``, ``breakers``); those do not cross the
@@ -79,6 +74,7 @@ class QueryWorkerContext:
     cache: Any = None  # FragmentCache | None, thread-shared only
     breakers: Any = None  # CircuitBreakerRegistry | None, thread-shared only
     killable: Any = None  # KillableWorker | None
+    generator: Any = None  # InstanceGenerator | None, for ingest items
     manager: ExtractorManager | None = field(default=None, repr=False)
 
     def __getstate__(self) -> dict:
@@ -89,8 +85,15 @@ class QueryWorkerContext:
         state["manager"] = None
         return state
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+    def for_tenant(self, tenant: str) -> "QueryWorkerContext":
+        """A single-tenant fleet's context serves every item."""
+        return self
+
+    def registry(self) -> ExtractorRegistry:
+        """The extractor registry, rebuilt once after unpickling."""
+        if self.extractors is None:
+            self.extractors = ExtractorRegistry(TransformRegistry())
+        return self.extractors
 
     def manager_for_worker(self) -> ExtractorManager:
         """The (lazily built) in-process manager a worker extracts with.
@@ -102,8 +105,7 @@ class QueryWorkerContext:
         once, on the merged outcome."""
         if self.manager is None:
             manager = ExtractorManager(
-                self.attributes, self.sources,
-                self.extractors or ExtractorRegistry(TransformRegistry()),
+                self.attributes, self.sources, self.registry(),
                 strict=self.strict, cache=self.cache,
                 resilience=self.resilience, metrics=None)
             if self.breakers is not None:
@@ -123,7 +125,6 @@ class FleetWorkerContext:
     pool ships a whole multi-tenant world to each child."""
 
     contexts: dict[str, QueryWorkerContext]
-    killable: Any = None
 
     def for_tenant(self, tenant: str) -> QueryWorkerContext:
         return self.contexts[tenant]
@@ -139,6 +140,14 @@ class QueryWorkItem:
     schema: ExtractionSchema
     deadline_seconds: float | None = None
     tenant: str = "default"
+
+    @property
+    def key(self) -> int:
+        """The item's identity within its request."""
+        return self.shard
+
+    def run(self, worker: int, ctx, emit, **options) -> None:
+        run_query_item(worker, self, ctx, emit, **options)
 
 
 def subschema_for(schema: ExtractionSchema,
@@ -164,15 +173,14 @@ def run_query_item(shard: int, item: QueryWorkItem, ctx, emit, *,
     """Run one sub-plan, emitting progress events.
 
     ``emit`` receives plain dicts.  ``shard`` is the *worker index*
-    (for supervisor heartbeats); events also carry ``item_shard`` — the
+    (for supervisor heartbeats); events also carry ``item`` — the
     item's own shard id — because the interleaving scheduler assigns
     items to whichever worker frees up, so the two no longer coincide.
     :class:`WorkerCrashed` propagates — the caller's loop dies with it,
     which is the point."""
     emit({"kind": "beat", "shard": shard, "request_id": item.request_id,
-          "item_shard": item.shard})
-    worker_ctx = (ctx.for_tenant(item.tenant)
-                  if hasattr(ctx, "for_tenant") else ctx)
+          "item": item.shard})
+    worker_ctx = ctx.for_tenant(item.tenant)
     if worker_ctx.killable is not None:
         probe = item.source_ids[0] if item.source_ids else ""
         worker_ctx.killable.check(probe, "QUERY", cancel=cancel,
@@ -187,25 +195,26 @@ def run_query_item(shard: int, item: QueryWorkItem, ctx, emit, *,
         # Strict-mode extraction raises instead of recording problems;
         # surface the failure so the coordinator can re-raise it.
         emit({"kind": "failed", "shard": shard,
-              "request_id": item.request_id, "item_shard": item.shard,
+              "request_id": item.request_id, "item": item.shard,
               "error": str(exc)})
         return
     emit({"kind": "done", "shard": shard, "request_id": item.request_id,
-          "item_shard": item.shard, "payload": outcome})
+          "item": item.shard, "payload": outcome})
 
 
 def query_worker_loop(shard: int, inbox, results, ctx, *,
                       cancel: Any = None,
                       in_subprocess: bool = False) -> None:
-    """The query worker main loop: drain the inbox until the None
-    sentinel.  Shared verbatim by thread and subprocess workers."""
+    """The fleet worker main loop: drain the inbox until the None
+    sentinel.  Shared verbatim by thread and subprocess workers, and by
+    every kind of work item, since each item runs itself."""
     while True:
         item = inbox.get()
         if item is None:
             return
         try:
-            run_query_item(shard, item, ctx, results.put, cancel=cancel,
-                           in_subprocess=in_subprocess)
+            item.run(shard, ctx, results.put, cancel=cancel,
+                     in_subprocess=in_subprocess)
         except WorkerCrashed:
             # Simulated sudden death: exit the loop without reporting
             # anything — no failure event, no further heartbeats.  The
@@ -224,18 +233,47 @@ class ShardRunResult:
     redispatches: int = 0
 
 
-class _InflightRequest:
-    """One admitted query's scheduler state: the completion map entry."""
+class FleetRequest:
+    """One admitted request, as the scheduler sees it.
 
-    __slots__ = ("request_id", "tenant", "deadline", "result", "ready",
-                 "running", "pending", "spans", "run_span", "finished",
-                 "peak_inflight")
+    The scheduler never looks inside a request; under its lock it calls
+    :meth:`admit` once, then ``next_item(worker)`` (claim a ready item
+    or None), ``apply(worker, event)`` (a ``stage``/``done``/``failed``
+    event), ``worker_lost(key, budget_error=)`` (``budget_error`` is
+    None when the worker will be restarted), ``resolved()``,
+    ``backlog()`` / ``ready_depth()`` (running + queued and queued item
+    counts) and ``cancel(message)``; booleans say whether state moved.
+    A method that raises retires its request alone, with the exception
+    on ``error`` for :meth:`QueryShardCoordinator.serve` to re-raise.
+    Work items carry ``request_id``, ``tenant``, a ``key`` unique
+    within the request and ``run(worker, ctx, emit, **options)``."""
 
-    def __init__(self, request_id: str, tenant: str,
-                 deadline: Deadline) -> None:
-        self.request_id = request_id
+    def __init__(self, tenant: str) -> None:
+        self.request_id = ""
         self.tenant = tenant
+        self.finished = threading.Event()
+        self.error: Exception | None = None
+        self.peak_inflight = 1
+
+    def admit(self, request_id: str, inflight: int) -> None:
+        """Bind the scheduler-assigned id (``inflight``: requests now
+        interleaved, this one included)."""
+        self.request_id = request_id
+
+    def finish(self) -> None:
+        """Called once, when the scheduler retires the request."""
+
+
+class _QueryRequest(FleetRequest):
+    """One query's fan-out: per-shard sub-plans and their completion map."""
+
+    def __init__(self, schema: ExtractionSchema, tenant: str,
+                 deadline: Deadline, span, n_workers: int) -> None:
+        super().__init__(tenant)
+        self.schema = schema
         self.deadline = deadline
+        self.span = span
+        self.n_workers = n_workers
         self.result = ShardRunResult()
         #: Shard ids waiting for a worker, in dispatch order.  A dead
         #: worker's item goes back to the *front* so recovery does not
@@ -247,30 +285,119 @@ class _InflightRequest:
         self.pending: set[int] = set()
         self.spans: dict[int, Any] = {}
         self.run_span: Any = NULL_SPAN
-        self.finished = threading.Event()
-        self.peak_inflight = 1
+
+    def admit(self, request_id: str, inflight: int) -> None:
+        super().admit(request_id, inflight)
+        self.run_span = self.span.child("shard.interleave",
+                                        tenant=self.tenant,
+                                        inflight=inflight)
+        shard_map = partition_sources(self.schema.source_ids(),
+                                      self.n_workers)
+        for shard, source_ids in sorted(shard_map.items()):
+            self.result.items[shard] = QueryWorkItem(
+                request_id, shard, source_ids,
+                subschema_for(self.schema, source_ids), tenant=self.tenant)
+            self.pending.add(shard)
+            self.ready.append(shard)
+            self.spans[shard] = self.run_span.child(
+                "shard.enqueue", shard=shard, sources=len(source_ids))
 
     def backlog(self) -> int:
-        """In-flight shard items (running + queued) — the quota unit."""
         return len(self.running) + len(self.ready)
+
+    def ready_depth(self) -> int:
+        return len(self.ready)
+
+    def next_item(self, worker: int) -> QueryWorkItem | None:
+        if not self.ready:
+            return None
+        shard = self.ready.popleft()
+        item = self.result.items[shard]
+        item.deadline_seconds = (None if self.deadline.unbounded
+                                 else self.deadline.remaining())
+        self.running[shard] = worker
+        self.spans[shard].annotate(worker=worker)
+        return item
+
+    def apply(self, worker: int, event: dict) -> bool:
+        shard = event.get("item")
+        if shard not in self.pending:
+            return False  # stale event from an abandoned attempt
+        # A late event from a re-dispatched item's dead worker is just
+        # as correct; the pending check keeps it from resolving twice.
+        self.running.pop(shard, None)
+        if event["kind"] == "failed":
+            self._fail(shard, event.get("error", "unknown worker failure"))
+            return True
+        self.pending.discard(shard)
+        self.result.partials[shard] = event["payload"]
+        self.spans[shard].annotate(outcome="done")
+        self.spans[shard].finish()
+        return True
+
+    def _fail(self, shard: int, message: str) -> None:
+        self.result.failures[shard] = message
+        self.pending.discard(shard)
+        self.spans[shard].fail(message)
+        self.spans[shard].finish()
+
+    def worker_lost(self, key: int, *, budget_error: str | None) -> bool:
+        if key not in self.pending:
+            return False
+        self.running.pop(key, None)
+        if budget_error is not None:
+            self._fail(key, budget_error)
+        else:
+            self.ready.appendleft(key)
+            self.result.redispatches += 1
+            self.spans[key].annotate(redispatched=True)
+        return True
+
+    def resolved(self) -> bool:
+        """Done when every shard resolved; a passed deadline times the
+        remaining shards out."""
+        if self.pending and self.deadline.expired:
+            for shard in sorted(self.pending):
+                self.spans[shard].annotate(outcome="deadline")
+                self.spans[shard].finish()
+            self.result.timed_out = set(self.pending)
+            self.pending.clear()
+            self.ready.clear()
+            # Workers still chewing on abandoned items stay assigned —
+            # they are genuinely busy — and free themselves when their
+            # (now stale) events arrive.
+            self.running.clear()
+        return not self.pending
+
+    def cancel(self, message: str) -> None:
+        for shard in sorted(self.pending):
+            self._fail(shard, message)
+        self.ready.clear()
+        self.running.clear()
+
+    def finish(self) -> None:
+        result = self.result
+        outcome = ("deadline" if result.timed_out
+                   else "degraded" if result.failures else "done")
+        self.run_span.annotate(outcome=outcome,
+                               redispatches=result.redispatches,
+                               peak_inflight=self.peak_inflight)
+        self.run_span.finish()
+        super().finish()
 
 
 class QueryShardCoordinator:
-    """Owns one query fleet: lifecycle, interleaved dispatch, supervision.
+    """Owns one fleet: lifecycle, interleaved dispatch, supervision.
 
-    The fleet is persistent across queries: workers start on first use
+    The fleet is persistent across requests: workers start on first use
     and survive until :meth:`shutdown` (or a source-repository mutation
     forces a rebuild so spawned children never serve a stale replica of
-    the mapping).  Multiple queries are in flight at once — see the
-    module docstring for the scheduling model.  One coordinator can
-    serve several tenants (:meth:`register_tenant`), which is how the
-    server shares one fleet across namespaces.
-
-    The per-worker restart budget is reclaimed whenever the fleet goes
-    *idle* (no requests in flight) — the interleaved generalization of
-    PR 9's per-query reset: a worker lost to an earlier query's chaos
-    never pre-spends a fresh workload's budget, and a budget can never
-    be reset under a query that is still draining."""
+    the mapping).  Multiple requests — queries through :meth:`execute`,
+    any :class:`FleetRequest` through :meth:`serve` — are in flight at
+    once.  One coordinator can serve several tenants
+    (:meth:`register_tenant`), which is how the server shares one fleet
+    across namespaces.  The per-worker restart budget is reclaimed
+    whenever the fleet goes idle (see :meth:`_admit`)."""
 
     def __init__(self, *, clock: Clock,
                  context_factory: Callable[[], QueryWorkerContext]
@@ -296,10 +423,10 @@ class QueryShardCoordinator:
         self._versions: dict[str, tuple] = {}
         self._request_seq = 0
         self._lock = threading.RLock()
-        self._requests: dict[str, _InflightRequest] = {}
+        self._requests: dict[str, FleetRequest] = {}
         self._rr: deque[str] = deque()
-        #: worker index -> (request_id, shard id) currently assigned.
-        self._assignments: dict[int, tuple[str, int]] = {}
+        #: worker index -> (request_id, item key) currently assigned.
+        self._assignments: dict[int, tuple[str, Any]] = {}
         self._dispatcher: threading.Thread | None = None
         self._stop_dispatcher = threading.Event()
         self._wake = threading.Event()
@@ -346,9 +473,9 @@ class QueryShardCoordinator:
             # context *is* the worker context (same pickling surface).
             ctx: Any = contexts["default"]
         else:
-            ctx = FleetWorkerContext(contexts, killable=self.killable)
+            ctx = FleetWorkerContext(contexts)
         return build_pool(self.fleet_config, ctx, loop=query_worker_loop,
-                          name="query-worker")
+                          name="fleet-worker")
 
     def ensure_started(self) -> None:
         """Start the fleet, or rebuild it after a source mutation.
@@ -381,7 +508,7 @@ class QueryShardCoordinator:
         self._stop_dispatcher = stop
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, args=(pool, stop),
-            name="query-fleet-dispatcher", daemon=True)
+            name="fleet-dispatcher", daemon=True)
         self._dispatcher.start()
 
     def _teardown_locked(self) -> None:
@@ -435,15 +562,7 @@ class QueryShardCoordinator:
 
     def _cancel_requests_locked(self, message: str) -> None:
         for request in list(self._requests.values()):
-            for shard in sorted(request.pending):
-                request.result.failures[shard] = message
-                span = request.spans.get(shard)
-                if span is not None:
-                    span.fail(message)
-                    span.finish()
-            request.pending.clear()
-            request.ready.clear()
-            request.running.clear()
+            self._call_locked(request, request.cancel, message)
             self._finalize_locked(request)
 
     @property
@@ -461,7 +580,7 @@ class QueryShardCoordinator:
                 "tenants": sorted(self._tenants),
                 "started": self._pool is not None,
                 "inflight_requests": len(self._requests),
-                "ready_queue_depth": sum(len(r.ready)
+                "ready_queue_depth": sum(r.ready_depth()
                                          for r in self._requests.values()),
                 "max_inflight_requests": config.max_inflight_requests,
                 "tenant_quota": config.tenant_quota,
@@ -479,13 +598,29 @@ class QueryShardCoordinator:
         (:func:`~repro.core.cluster.manager.merge_partials`).  Raises
         :class:`~repro.errors.FleetQuotaExceeded` when an admission
         quota refuses the query."""
-        request = self._admit(schema, deadline, span, tenant)
+        request = _QueryRequest(schema, tenant, deadline, span,
+                                self.fleet_config.n_workers)
+        return self.serve(request).result
+
+    def serve(self, request: FleetRequest) -> FleetRequest:
+        """Admit ``request`` and block until the scheduler retires it;
+        re-raises the exception a request method raised, if any."""
+        self._admit(request)
         self._wake.set()
         request.finished.wait()
-        return request.result
+        if request.error is not None:
+            raise request.error
+        return request
 
-    def _admit(self, schema: ExtractionSchema, deadline: Deadline, span,
-               tenant: str) -> _InflightRequest:
+    def tenant_of(self, context_factory: Callable) -> str | None:
+        """The tenant registered with ``context_factory``, or None."""
+        with self._lock:
+            return next((name for name, entry in self._tenants.items()
+                         if entry["context_factory"] == context_factory),
+                        None)
+
+    def _admit(self, request: FleetRequest) -> None:
+        tenant = request.tenant
         with self._lock:
             if self._draining:
                 raise S2SError("the query fleet is shutting down")
@@ -501,9 +636,9 @@ class QueryShardCoordinator:
                     f"fleet is at its in-flight request quota "
                     f"({config.max_inflight_requests})")
             if config.tenant_quota is not None:
-                backlog = sum(request.backlog()
-                              for request in self._requests.values()
-                              if request.tenant == tenant)
+                backlog = sum(other.backlog()
+                              for other in self._requests.values()
+                              if other.tenant == tenant)
                 if backlog >= config.tenant_quota:
                     self._reject_locked(
                         tenant, "tenant",
@@ -512,39 +647,24 @@ class QueryShardCoordinator:
             self.ensure_started()
             if not self._requests:
                 # The restart budget is per workload: a worker lost to
-                # an earlier query's chaos must not pre-spend a fresh
+                # an earlier request's chaos must not pre-spend a fresh
                 # one's.  Only an idle fleet may reclaim it — a reset
-                # mid-flight would erase another query's death
+                # mid-flight would erase another request's death
                 # bookkeeping.
                 self.supervisor.reset(range(self.fleet_config.n_workers))
             self._request_seq += 1
             request_id = f"q{self._request_seq}"
-            request = _InflightRequest(request_id, tenant, deadline)
-            request.run_span = span.child(
-                "shard.interleave", tenant=tenant,
-                inflight=len(self._requests) + 1)
-            shard_map = partition_sources(schema.source_ids(),
-                                          self.fleet_config.n_workers)
-            for shard, source_ids in sorted(shard_map.items()):
-                item = QueryWorkItem(request_id, shard, source_ids,
-                                     subschema_for(schema, source_ids),
-                                     tenant=tenant)
-                request.result.items[shard] = item
-                request.pending.add(shard)
-                request.ready.append(shard)
-                request.spans[shard] = request.run_span.child(
-                    "shard.enqueue", shard=shard, sources=len(source_ids))
+            request.admit(request_id, len(self._requests) + 1)
             self._requests[request_id] = request
             self._rr.append(request_id)
             inflight = len(self._requests)
             for other in self._requests.values():
                 other.peak_inflight = max(other.peak_inflight, inflight)
-            if not request.pending:
+            if self._call_locked(request, request.resolved):
                 self._finalize_locked(request)
             else:
                 self._feed_workers_locked()
             self._update_gauges()
-            return request
 
     def _reject_locked(self, tenant: str, scope: str, message: str) -> None:
         if self.metrics is not None:
@@ -571,11 +691,17 @@ class QueryShardCoordinator:
                 self._wake.wait(timeout=0.05)
                 self._wake.clear()
                 continue
-            events = pool.events(config.real_poll_seconds)
-            with self._lock:
-                if self._pool is not pool:
-                    return
-                progressed = self._tick(pool, events)
+            try:
+                events = pool.events(config.real_poll_seconds)
+                with self._lock:
+                    if self._pool is not pool:
+                        return
+                    progressed = self._tick(pool, events)
+            except Exception as exc:  # the pool or supervisor failed
+                with self._lock:
+                    for request in list(self._requests.values()):
+                        self._retire_locked(request, exc)
+                continue
             if not events and not progressed:
                 # Idle beat: advance the (possibly fake) clock so
                 # heartbeat ages, restart backoffs and deadlines make
@@ -584,129 +710,71 @@ class QueryShardCoordinator:
 
     def _tick(self, pool: WorkerPool, events: list[dict]) -> bool:
         """One scheduler pass under the lock; True when state moved."""
-        progressed = False
-        for event in events:
-            if self._apply_event_locked(event):
-                progressed = True
-        if self._expire_deadlines_locked():
-            progressed = True
-        for request in [r for r in self._requests.values()
-                        if not r.pending]:
-            self._finalize_locked(request)
-            progressed = True
-        if self._supervise_locked(pool):
-            progressed = True
-        if self._feed_workers_locked():
-            progressed = True
+        moved = [self._apply_event_locked(event) for event in events]
+        for request in list(self._requests.values()):
+            if self._call_locked(request, request.resolved):
+                self._finalize_locked(request)
+                moved.append(True)
+        moved.append(self._supervise_locked(pool))
+        moved.append(self._feed_workers_locked() > 0)
         self._update_gauges()
-        return progressed
+        return any(moved)
 
     def _apply_event_locked(self, event: dict) -> bool:
         worker = event.get("shard")
         if worker is not None:
             self.supervisor.beat(worker)
         kind = event.get("kind")
-        if kind not in ("done", "failed"):
+        if kind == "beat":
             return False
         request_id = event.get("request_id")
-        item_shard = event.get("item_shard", worker)
         progressed = False
-        if self._assignments.get(worker) == (request_id, item_shard):
+        if (kind in ("done", "failed") and self._assignments.get(worker)
+                == (request_id, event.get("item"))):
             # The worker finished its assigned item (or a late event
             # from a cancelled incarnation landed *after* the same item
             # was re-assigned to it — either way this worker is free).
             del self._assignments[worker]
             progressed = True
         request = self._requests.get(request_id)
-        if request is None or item_shard not in request.pending:
-            return progressed  # stale event from an abandoned attempt
-        if request.running.get(item_shard) != worker:
-            # A previous incarnation of the item reporting after its
-            # worker was declared dead and the item re-dispatched: take
-            # the answer anyway (it is just as correct) only when the
-            # item has not already resolved — covered by the pending
-            # check above.
-            request.running.pop(item_shard, None)
-        else:
-            request.running.pop(item_shard, None)
-        request.pending.discard(item_shard)
-        span = request.spans[item_shard]
-        if kind == "done":
-            request.result.partials[item_shard] = event["payload"]
-            span.annotate(outcome="done")
-        else:
-            request.result.failures[item_shard] = event.get(
-                "error", "unknown worker failure")
-            span.fail(request.result.failures[item_shard])
-        span.finish()
-        return True
-
-    def _expire_deadlines_locked(self) -> bool:
-        progressed = False
-        for request in list(self._requests.values()):
-            if not request.pending or not request.deadline.expired:
-                continue
-            for shard in sorted(request.pending):
-                span = request.spans[shard]
-                span.annotate(outcome="deadline")
-                span.finish()
-            request.result.timed_out = set(request.pending)
-            request.pending.clear()
-            request.ready.clear()
-            # Workers still chewing on abandoned items stay assigned —
-            # they are genuinely busy — and free themselves when their
-            # (now stale) events arrive.
-            request.running.clear()
-            self._finalize_locked(request)
+        if (request is not None
+                and self._call_locked(request, request.apply, worker, event)):
             progressed = True
         return progressed
 
     def _supervise_locked(self, pool: WorkerPool) -> bool:
         busy = set(self._assignments)
-        has_ready = any(request.ready
+        has_ready = any(request.ready_depth()
                         for request in self._requests.values())
         # A dead-but-idle worker only matters when there is queued work
         # it could be serving; otherwise it must not burn the restart
-        # budget while other shards drain.
+        # budget while other items drain.
         relevant = set(range(pool.n_workers)) if has_ready else set(busy)
         verdict = self.supervisor.supervise(pool, busy=busy,
                                             relevant=relevant)
         progressed = bool(verdict.restarted)
         for worker in verdict.deaths:
-            if self._release_worker_locked(worker, aborted=False):
+            if self._release_worker_locked(worker, None):
                 progressed = True
         if verdict.aborted is not None:
-            if self._release_worker_locked(verdict.aborted, aborted=True):
+            message = (f"worker shard {verdict.aborted} exceeded its "
+                       f"restart budget "
+                       f"({self.fleet_config.max_worker_restarts})")
+            if self._release_worker_locked(verdict.aborted, message):
                 progressed = True
         return progressed
 
-    def _release_worker_locked(self, worker: int, *,
-                               aborted: bool) -> bool:
-        """A worker died (or aborted past its budget): release its item.
-
-        Only the dead worker's item moves — to the front of its own
-        request's ready queue (or, past the budget, into failures) —
-        while every other request keeps streaming."""
+    def _release_worker_locked(self, worker: int,
+                               budget_error: str | None) -> bool:
+        """A worker died (or aborted past its budget): tell the request
+        whose item it held.  Every other request keeps streaming."""
         assignment = self._assignments.pop(worker, None)
         if assignment is None:
             return False
-        request_id, shard = assignment
+        request_id, key = assignment
         request = self._requests.get(request_id)
-        if request is None or shard not in request.pending:
-            return False
-        request.running.pop(shard, None)
-        if aborted:
-            message = (f"worker shard {worker} exceeded its restart "
-                       f"budget ({self.fleet_config.max_worker_restarts})")
-            request.result.failures[shard] = message
-            request.pending.discard(shard)
-            request.spans[shard].fail(message)
-            request.spans[shard].finish()
-        else:
-            request.ready.appendleft(shard)
-            request.result.redispatches += 1
-            request.spans[shard].annotate(redispatched=True)
-        return True
+        return request is not None and bool(self._call_locked(
+            request, request.worker_lost, key, budget_error=budget_error))
 
     def _feed_workers_locked(self) -> int:
         """Fair-share dispatch: free workers take the next ready item,
@@ -722,7 +790,7 @@ class QueryShardCoordinator:
             return 0
         quota = self.fleet_config.tenant_quota
         occupancy: dict[str, int] = {}
-        for request_id, _shard in self._assignments.values():
+        for request_id, _key in self._assignments.values():
             request = self._requests.get(request_id)
             if request is not None:
                 occupancy[request.tenant] = \
@@ -733,58 +801,67 @@ class QueryShardCoordinator:
             request_id = self._rr[0]
             self._rr.rotate(-1)
             request = self._requests.get(request_id)
-            if request is None or not request.ready:
-                skipped += 1
-                continue
-            if (quota is not None
+            if request is None or (
+                    quota is not None
                     and occupancy.get(request.tenant, 0) >= quota):
                 skipped += 1
                 continue
-            shard = request.ready.popleft()
+            item = self._call_locked(request, request.next_item, free[0])
+            if item is None:
+                skipped += 1
+                continue
             worker = free.pop(0)
-            item = request.result.items[shard]
-            item.deadline_seconds = (None if request.deadline.unbounded
-                                     else request.deadline.remaining())
-            self._assignments[worker] = (request_id, shard)
-            request.running[shard] = worker
+            self._assignments[worker] = (request_id, item.key)
             occupancy[request.tenant] = \
                 occupancy.get(request.tenant, 0) + 1
-            request.spans[shard].annotate(worker=worker)
             pool.submit(worker, item)
             if self.metrics is not None:
                 self.metrics.counter(
                     "shard_dispatches_total",
-                    "query sub-plans dispatched to shard workers").inc(
-                        shard=shard)
+                    "work items dispatched to fleet workers").inc(
+                        shard=worker)
             fed += 1
             skipped = 0
         return fed
 
-    def _finalize_locked(self, request: _InflightRequest) -> None:
-        self._requests.pop(request.request_id, None)
+    def _call_locked(self, request: FleetRequest, method, *args,
+                     **kwargs) -> Any:
+        """Call one of ``request``'s methods; if it raises, retire that
+        request alone with the error and return None."""
         try:
-            self._rr.remove(request.request_id)
-        except ValueError:
-            pass
-        result = request.result
-        outcome = ("deadline" if result.timed_out
-                   else "degraded" if result.failures else "done")
-        request.run_span.annotate(outcome=outcome,
-                                  redispatches=result.redispatches,
-                                  peak_inflight=request.peak_inflight)
-        request.run_span.finish()
+            return method(*args, **kwargs)
+        except Exception as exc:
+            self._retire_locked(request, exc)
+            return None
+
+    def _retire_locked(self, request: FleetRequest, exc: Exception) -> None:
+        request.error = request.error or exc
+        try:
+            request.cancel(f"fleet request failed: {exc}")
+        except Exception:
+            pass  # the first error is the one the waiter sees
+        self._finalize_locked(request)
+
+    def _finalize_locked(self, request: FleetRequest) -> None:
+        """Retire ``request`` (once) and wake its waiter."""
+        if self._requests.pop(request.request_id, None) is None:
+            return
+        self._rr.remove(request.request_id)
         self._update_gauges()
-        request.finished.set()
+        try:
+            request.finish()
+        finally:
+            request.finished.set()
 
     def _update_gauges(self) -> None:
         if self.metrics is None:
             return
         self.metrics.gauge(
             "fleet_interleaved_requests",
-            "queries currently interleaved over the fleet").set(
+            "requests currently interleaved over the fleet").set(
                 len(self._requests))
         self.metrics.gauge(
             "fleet_ready_queue_depth",
-            "shard items waiting for a free worker").set(
-                sum(len(request.ready)
+            "work items waiting for a free worker").set(
+                sum(request.ready_depth()
                     for request in self._requests.values()))

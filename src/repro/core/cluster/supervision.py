@@ -1,16 +1,15 @@
 """Worker supervision: heartbeat death detection and restart backoff.
 
-Extracted from the ingest coordinator's drain loop so the sharded
-query engine supervises its fleet with the *same* policy: worker death
-is detected by direct liveness checks and by heartbeat age on the
+The fleet scheduler beats one supervisor per fleet: worker death is
+detected by direct liveness checks and by heartbeat age on the
 injectable clock, dead workers are restarted with jittered backoff,
 and a shard that keeps dying exhausts a restart budget instead of
 wedging the run.
 
 The supervisor owns only the *policy state* (heartbeats, restart
 counts, pending restart schedule); what a death *means* — releasing an
-in-flight ingest job, re-dispatching a query sub-plan — stays with the
-coordinator reading the verdict.
+in-flight ingest job, re-dispatching a query sub-plan — is up to the
+request whose item the dead worker held.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .pool import WorkerPool
 
 
 def default_restart_policy(max_restarts: int) -> RetryPolicy:
-    """The fleet restart backoff both coordinators use by default."""
+    """The fleet restart backoff the scheduler uses by default."""
     return RetryPolicy(max_attempts=max_restarts + 1, base_delay=0.05,
                        max_delay=1.0, seed=11)
 

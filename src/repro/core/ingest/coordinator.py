@@ -1,34 +1,33 @@
 """The shard coordinator: supervised, crash-recoverable ingest runs.
 
 The :class:`ShardCoordinator` turns materialization targets into
-per-source :class:`~repro.core.ingest.jobs.IngestJob`\\ s, partitions
-them across a :class:`~repro.core.cluster.pool.WorkerPool` (shaped by
-a :class:`~repro.config.FleetConfig`, the same value the query fleet
-takes) by stable shard key, and supervises the run:
+per-source :class:`~repro.core.ingest.jobs.IngestJob`\\ s and serves
+them as one request on the fleet scheduler that queries use
+(:class:`~repro.core.cluster.coordinator.QueryShardCoordinator`).  The
+scheduler owns the fleet — events, supervision, restarts, feeding free
+workers; the run (:class:`_IngestRun`) owns what is ingest-specific:
 
 * every job transition is journaled (fsync'd) *before* taking effect,
   so a coordinator killed at any instruction boundary resumes exactly
   the unfinished jobs on restart (``recover()`` replay);
-* worker death is detected by heartbeat age on the injectable clock
-  (and by direct liveness checks); dead workers are restarted with
-  jittered backoff and their in-flight jobs re-enqueued — at-least-once
-  delivery, made effectively exactly-once by the store's idempotent
-  per-source slice replacement;
+* a job whose worker died is re-enqueued — at-least-once delivery,
+  made effectively exactly-once by the store's idempotent per-source
+  slice replacement; past the restart budget the run aborts;
 * job failures feed the existing per-source circuit breakers, and
   breaker-open sources keep serving last-known-good data instead of
   burning the run's budget;
 * jobs that exhaust their retry budget, or raise non-retryable errors
   (poison payloads), are quarantined to the dead-letter ledger and
-  never block sibling shards.
+  never block sibling jobs.
 
-Workers compute, the coordinator commits: all
-:class:`~repro.core.store.SemanticStore` writes happen here, on the
-event-drain path, which is what lets thread and spawn pools behave
-identically.
+Workers compute, the run commits: all
+:class:`~repro.core.store.SemanticStore` writes happen on the
+scheduler thread, one at a time, so thread and spawn pools behave
+identically and jobs can take whichever worker is free.
 
 ``stop_after=N`` is the crash seam for tests and the E17 benchmark: the
-coordinator abandons the run (no clean shutdown record) after N
-completed jobs, simulating sudden death mid-run.
+run is abandoned (no clean shutdown record) at the Nth completed job,
+simulating sudden death mid-run.
 """
 
 from __future__ import annotations
@@ -40,19 +39,19 @@ from typing import Any
 
 from ...clock import Clock, SystemClock
 from ...obs import NULL_SPAN, MetricsRegistry, Tracer
-from ..cluster.pool import WorkerPool, build_pool
-from ..cluster.supervision import WorkerSupervisor, default_restart_policy
+from ..cluster.coordinator import (FleetRequest, QueryShardCoordinator,
+                                   QueryWorkerContext)
 from ..extractor.manager import ExtractorManager
 from ..instances.generator import InstanceGenerator
 from ..resilience import RetryPolicy
 from ..resilience.config import FleetConfig
 from ..store.delta import DeltaRefresher
 from ..store.store import SemanticStore, StoreKey
-from .jobs import DEAD, DONE, MATERIALIZE, IngestJob, job_id_for, shard_of
+from .jobs import DEAD, DONE, MATERIALIZE, IngestJob, job_id_for
 from .journal import DeadLetterLedger, IngestJournal
 from .queue import DurableJobQueue
 from .staging import StagingArea
-from .workers import UpsertPayload, WorkerContext, WorkItem, worker_loop
+from .workers import UpsertPayload, WorkItem
 
 
 @dataclass
@@ -84,7 +83,7 @@ class IngestReport:
     worker_restarts: int = 0
     elapsed_seconds: float = 0.0
     #: True when the run ended without draining the queue (stop_after
-    #: crash seam, or a shard exceeding its restart budget).
+    #: crash seam, the restart budget, or an error).
     aborted: bool = False
     trace: object | None = None
     errors: list[str] = field(default_factory=list)
@@ -98,11 +97,10 @@ class IngestReport:
 
 
 class ShardCoordinator:
-    """Drives durable staged ingest over a pool of shard workers.
+    """Drives durable staged ingest as one request on a fleet scheduler.
 
-    ``fleet`` shapes the pool and its supervision exactly as it shapes
-    a query fleet; ingest has no admission, so its quotas must be
-    unset."""
+    ``fleet`` shapes the private scheduler :meth:`run` builds; ingest
+    has no admission, so its quotas must be unset."""
 
     def __init__(self, store: SemanticStore, manager: ExtractorManager,
                  generator: InstanceGenerator, journal_dir: str, *,
@@ -130,8 +128,7 @@ class ShardCoordinator:
         self.fleet = fleet
         self.killable = killable
         self.stop_after = stop_after
-        self.restart_policy = restart_policy or default_restart_policy(
-            fleet.max_worker_restarts)
+        self.restart_policy = restart_policy
         self.journal = IngestJournal(journal_dir, fsync=fsync,
                                      metrics=metrics)
         self.dead_letter = DeadLetterLedger(journal_dir, fsync=fsync,
@@ -143,12 +140,8 @@ class ShardCoordinator:
             dead_letter=self.dead_letter, metrics=metrics).recover()
         self._entries: dict[str, list] = {}  # job_id -> mapping entries
         self._keys: dict[str, StoreKey] = {}  # job_id -> store key
-        self._job_spans: dict[str, Any] = {}
 
     # -- planning ----------------------------------------------------------
-
-    def _refresher(self) -> DeltaRefresher:
-        return DeltaRefresher(self.store, self.manager, self.generator)
 
     def plan(self, targets: list[IngestTarget], *, force: bool = False,
              root=NULL_SPAN) -> IngestReport:
@@ -164,7 +157,7 @@ class ShardCoordinator:
         never enqueue work — or cost a counted fetch."""
         report = IngestReport(run_id=uuid.uuid4().hex[:12])
         report.replayed = self.queue.replayed
-        refresher = self._refresher()
+        refresher = DeltaRefresher(self.store, self.manager, self.generator)
         with root.child("plan", targets=len(targets)) as span:
             for target in targets:
                 self._plan_target(target, refresher, force, report, span)
@@ -225,22 +218,44 @@ class ShardCoordinator:
             span.child("source", source=source_id,
                        verdict="enqueued").finish()
 
-    # -- the run loop ------------------------------------------------------
+    # -- the run ---------------------------------------------------------
 
-    def _build_pool(self) -> WorkerPool:
-        ctx = WorkerContext(self.manager.sources, self.generator,
-                            killable=self.killable,
-                            extractors=self.manager.extractors)
-        return build_pool(self.fleet, ctx, loop=worker_loop,
-                          name="ingest-worker")
+    def worker_context(self) -> QueryWorkerContext:
+        """The fleet worker context ingest jobs run with (shared live by
+        thread workers, pickled per child for spawn workers)."""
+        manager = self.manager
+        return QueryWorkerContext(
+            attributes=manager.attributes, sources=manager.sources,
+            resilience=manager.config, strict=manager.strict,
+            extractors=manager.extractors, generator=self.generator)
 
     def run(self, targets: list[IngestTarget], *,
             force: bool = False) -> IngestReport:
-        """Plan and drain: the whole ingest run, supervised."""
+        """Plan and drain: the whole ingest run, on a private fleet."""
+        scheduler = QueryShardCoordinator(
+            clock=self.clock, fleet=self.fleet,
+            context_factory=self.worker_context,
+            restart_policy=self.restart_policy, metrics=self.metrics)
+        scheduler.killable = self.killable
+        try:
+            return self.run_on(scheduler, targets, force=force)
+        finally:
+            scheduler.shutdown()
+
+    def run_on(self, scheduler: QueryShardCoordinator,
+               targets: list[IngestTarget], *,
+               force: bool = False) -> IngestReport:
+        """Plan, then serve the run as one request on ``scheduler``, on
+        the tenant registered with :meth:`worker_context` (ValueError if
+        none).  Faults come from the scheduler's ``killable``."""
+        tenant = scheduler.tenant_of(self.worker_context)
+        if tenant is None:
+            raise ValueError("no tenant of this fleet is registered with "
+                             "the ingest coordinator's worker_context")
         started = time.perf_counter()
         root = (self.tracer.start("ingest", targets=len(targets),
-                                  workers=self.fleet.n_workers,
-                                  pool=self.fleet.pool)
+                                  workers=scheduler.fleet_config.n_workers,
+                                  pool=scheduler.fleet_config.pool)
                 if self.tracer is not None else NULL_SPAN)
         report = self.plan(targets, force=force, root=root)
         self.journal.record_run("started", report.run_id,
@@ -249,15 +264,13 @@ class ShardCoordinator:
         if self.metrics is not None:
             self.metrics.counter("ingest_runs_total",
                                  "coordinator ingest runs").inc()
-        pool = self._build_pool()
-        pool.start()
+        run = _IngestRun(self, report, root, tenant,
+                         scheduler.fleet_config.max_worker_restarts)
         try:
-            self._drain(pool, report, root)
+            scheduler.serve(run)
         finally:
-            pool.shutdown()
-            for span in self._job_spans.values():
+            for span in run.job_spans.values():
                 span.finish()
-            self._job_spans.clear()
             root.finish()
         if not report.aborted:
             self.journal.record_run("finished", report.run_id,
@@ -286,216 +299,6 @@ class ShardCoordinator:
                 if mat is not None and mat.slices:
                     self.store.touch(target.key)
 
-    def _drain(self, pool: WorkerPool, report: IngestReport, root) -> None:
-        assigned: dict[int, str] = {}  # shard -> in-flight job_id
-        supervisor = WorkerSupervisor(
-            self.clock, heartbeat_timeout=self.fleet.heartbeat_timeout,
-            restart_policy=self.restart_policy,
-            max_restarts=self.fleet.max_worker_restarts,
-            metrics=self.metrics)
-        supervisor.reset(range(self.fleet.n_workers))
-        while not self.queue.drained:
-            if (self.stop_after is not None
-                    and report.completed >= self.stop_after):
-                # Simulated coordinator crash: walk away mid-run.  No
-                # shutdown record, no store touch — recovery must come
-                # entirely from the journal.
-                report.aborted = True
-                return
-            events = pool.events(self.fleet.real_poll_seconds)
-            if not events:
-                # Idle beat: advance the (possibly fake) clock so
-                # heartbeat ages and retry backoffs make progress.
-                self.clock.sleep(self.fleet.poll_seconds)
-            for event in events:
-                supervisor.beat(event["shard"])
-                self._handle_event(event, assigned, report, root)
-                if (self.stop_after is not None
-                        and report.completed >= self.stop_after):
-                    # Die exactly at the Nth completion, even when one
-                    # event batch carries several — keeps the crash
-                    # seam deterministic for tests and E17.
-                    report.aborted = True
-                    return
-            if self._supervise(pool, supervisor, assigned, report):
-                report.aborted = True
-                return
-            self._dispatch(pool, assigned, supervisor.restart_at, report,
-                           root)
-
-    # -- event handling ----------------------------------------------------
-
-    def _handle_event(self, event: dict, assigned: dict[int, str],
-                      report: IngestReport, root) -> None:
-        kind = event.get("kind")
-        if kind == "beat":
-            return
-        job_id = event.get("job_id", "")
-        job = self.queue.get(job_id)
-        if job is None or job.finished:
-            return  # late event from a worker declared dead; ignore
-        span = self._job_spans.get(job_id, NULL_SPAN)
-        if kind == "stage":
-            stage = event["stage"]
-            self.staging.checkpoint(job_id, stage, event.get("payload"))
-            self.queue.advance(job, stage)
-            span.child(stage.lower()).finish()
-            return
-        shard = event.get("shard")
-        if kind == "done":
-            payload: UpsertPayload = event["payload"]
-            self._commit(job, payload)
-            self.queue.advance(job, MATERIALIZE)
-            self.queue.complete(job)
-            self.staging.discard(job_id)
-            report.completed += 1
-            span.annotate(outcome="done")
-            self._finish_span(job_id)
-            if shard in assigned and assigned[shard] == job_id:
-                del assigned[shard]
-            return
-        if kind == "failed":
-            error = event.get("error", "unknown worker failure")
-            retryable = bool(event.get("retryable", False))
-            breaker = (self.manager.breakers.get(job.source_id)
-                       if self.manager.breakers is not None else None)
-            if breaker is not None and retryable:
-                breaker.record_failure()
-            failed = self.queue.fail(job, error, retryable=retryable)
-            if failed.status == DEAD:
-                report.dead += 1
-                report.errors.append(f"{job_id}: {error}")
-                span.fail(error)
-                self._finish_span(job_id)
-            else:
-                span.annotate(retry=failed.attempts)
-            if shard in assigned and assigned[shard] == job_id:
-                del assigned[shard]
-
-    def _commit(self, job: IngestJob, payload: UpsertPayload) -> None:
-        """The only store write path: idempotent per-source upsert.
-
-        Re-delivery of the same payload (at-least-once redelivery after
-        a worker or coordinator death) replaces the slice with identical
-        content — effectively exactly-once."""
-        key = self._keys.get(job.job_id, (job.class_name, job.attribute_ids))
-        self.store.upsert(key, job.source_id, payload.entities,
-                          fingerprint=payload.fingerprint)
-        if payload.error_entries:
-            self.store.replace_errors(key, payload.error_entries,
-                                      for_sources=[job.source_id])
-        breaker = (self.manager.breakers.get(job.source_id)
-                   if self.manager.breakers is not None else None)
-        if breaker is not None:
-            breaker.record_success()
-
-    def _finish_span(self, job_id: str) -> None:
-        span = self._job_spans.pop(job_id, None)
-        if span is not None:
-            span.finish()
-
-    # -- supervision -------------------------------------------------------
-
-    def _supervise(self, pool: WorkerPool, supervisor: WorkerSupervisor,
-                   assigned: dict[int, str],
-                   report: IngestReport) -> bool:
-        """Detect dead workers, release their jobs, schedule restarts.
-
-        The detection/backoff policy lives in the shared
-        :class:`~repro.core.cluster.supervision.WorkerSupervisor` (the
-        query fleet runs the same one); this method maps its verdict
-        onto ingest semantics — releasing in-flight jobs back to the
-        queue, and aborting the run when a shard exceeded its restart
-        budget.  Returns True on abort."""
-        # Only shards with work in flight or routed to them matter: a
-        # dead-but-idle worker must not burn the restart budget (and
-        # certainly must not abort the run) while other shards drain.
-        relevant = set(assigned)
-        relevant.update(shard_of(job.source_id, self.fleet.n_workers)
-                        for job in self.queue.pending)
-        verdict = supervisor.supervise(pool, busy=set(assigned),
-                                       relevant=relevant)
-        dead_shards = list(verdict.deaths)
-        if verdict.aborted is not None:
-            dead_shards.append(verdict.aborted)
-        for shard in dead_shards:
-            if shard not in assigned:
-                continue
-            job = self.queue.get(assigned.pop(shard))
-            if job is not None and not job.finished:
-                self.queue.release(job)
-                report.released += 1
-                self._job_spans.get(job.job_id, NULL_SPAN).annotate(
-                    released=True)
-        report.worker_restarts += len(verdict.deaths)
-        if verdict.aborted is not None:
-            report.errors.append(
-                f"worker shard {verdict.aborted} exceeded its restart "
-                f"budget ({self.fleet.max_worker_restarts})")
-            return True
-        return False
-
-    # -- dispatch ----------------------------------------------------------
-
-    def _dispatch(self, pool: WorkerPool, assigned: dict[int, str],
-                  restart_at: dict[int, float], report: IngestReport,
-                  root) -> None:
-        for job in self.queue.eligible(self.fleet.n_workers):
-            shard = shard_of(job.source_id, self.fleet.n_workers)
-            if shard in assigned or shard in restart_at:
-                continue  # worker busy or awaiting restart
-            if not pool.alive(shard):
-                continue  # will be picked up by supervision
-            if not self._breaker_admits(job, report):
-                continue
-            entries = self._entries.get(job.job_id)
-            if entries is None:
-                # A replayed job whose mapping vanished since the crash.
-                self.queue.claim(job, shard)
-                self.queue.fail(job, "no mapping entries for source "
-                                f"{job.source_id!r} after recovery",
-                                retryable=False)
-                report.dead += 1
-                continue
-            self.queue.claim(job, shard)
-            assigned[shard] = job.job_id
-            if self.tracer is not None and job.job_id not in self._job_spans:
-                self._job_spans[job.job_id] = root.child(
-                    "job", job_id=job.job_id, source=job.source_id,
-                    shard=shard, attempt=job.attempts + 1)
-            resume_stage, resume_payload = self.staging.latest(
-                job.job_id, job.stage)
-            pool.submit(shard, WorkItem(job.to_dict(), entries,
-                                        resume_stage=resume_stage,
-                                        resume_payload=resume_payload))
-
-    def _breaker_admits(self, job: IngestJob, report: IngestReport) -> bool:
-        """Dispatch-time breaker gate.
-
-        Open breaker + a stored slice → keep serving last-known-good
-        data, job completes as kept-stale.  Open breaker with nothing
-        stored → the job fails retryably (backoff), eventually dying to
-        the dead-letter ledger if the source never heals."""
-        if self.manager.breakers is None:
-            return True
-        breaker = self.manager.breakers.get(job.source_id)
-        if breaker.allow():
-            return True
-        key = self._keys.get(job.job_id, (job.class_name, job.attribute_ids))
-        mat = self.store.materialization(key)
-        slice_exists = mat is not None and job.source_id in mat.slices
-        self.queue.claim(job, -1)
-        if slice_exists:
-            self.store.mark_slice_stale(key, job.source_id)
-            self.queue.complete(job)
-            report.kept_stale += 1
-        else:
-            self.queue.fail(job, f"circuit breaker open for "
-                            f"{job.source_id!r}", retryable=True)
-            if self.queue.get(job.job_id).status == DEAD:
-                report.dead += 1
-        return False
-
     # -- operator surface --------------------------------------------------
 
     def status(self) -> dict:
@@ -521,3 +324,185 @@ class ShardCoordinator:
 
     def close(self) -> None:
         self.journal.close()
+
+
+class _IngestRun(FleetRequest):
+    """One ingest run as a fleet request: the queue drains through it.
+
+    The scheduler calls every method under its lock (on its dispatcher
+    thread, or the admitting thread at admission), so the journal, the
+    staging area and the store see one writer at a time."""
+
+    def __init__(self, coordinator: ShardCoordinator, report: IngestReport,
+                 root, tenant: str, max_restarts: int) -> None:
+        super().__init__(tenant)
+        self.coordinator = coordinator
+        self.queue = coordinator.queue
+        self.report = report
+        self.root = root
+        self.max_restarts = max_restarts
+        self.job_spans: dict[str, Any] = {}
+        #: job id -> workers lost while holding it.
+        self.lost: dict[str, int] = {}
+
+    # -- scheduler interface -----------------------------------------------
+
+    def backlog(self) -> int:
+        return len(self.queue.pending) + len(self.queue.running)
+
+    def ready_depth(self) -> int:
+        return len(self.queue.pending)
+
+    def resolved(self) -> bool:
+        stop_after = self.coordinator.stop_after
+        if stop_after is not None and self.report.completed >= stop_after:
+            # Simulated coordinator crash at exactly the Nth completion:
+            # walk away mid-run.  No shutdown record, no store touch —
+            # recovery must come entirely from the journal.
+            self.report.aborted = True
+        return self.report.aborted or self.queue.drained
+
+    def cancel(self, message: str) -> None:
+        self.report.aborted = True
+        self.report.errors.append(message)
+
+    def next_item(self, worker: int) -> WorkItem | None:
+        """The next eligible job past the breaker gate, claimed for
+        ``worker``; gated and mapping-less jobs resolve on the way."""
+        coordinator = self.coordinator
+        for job in self.queue.eligible():
+            if not self._breaker_admits(job):
+                continue
+            entries = coordinator._entries.get(job.job_id)
+            if entries is None:
+                # A replayed job whose mapping vanished since the crash.
+                self.queue.claim(job, worker)
+                self.queue.fail(job, "no mapping entries for source "
+                                f"{job.source_id!r} after recovery",
+                                retryable=False)
+                self.report.dead += 1
+                continue
+            self.queue.claim(job, worker)
+            if (coordinator.tracer is not None
+                    and job.job_id not in self.job_spans):
+                self.job_spans[job.job_id] = self.root.child(
+                    "job", job_id=job.job_id, source=job.source_id,
+                    shard=worker, attempt=job.attempts + 1)
+            resume_stage, resume_payload = coordinator.staging.latest(
+                job.job_id, job.stage)
+            return WorkItem(job.to_dict(), entries,
+                            resume_stage=resume_stage,
+                            resume_payload=resume_payload,
+                            request_id=self.request_id, tenant=self.tenant)
+        return None
+
+    def apply(self, worker: int, event: dict) -> bool:
+        if self.resolved():
+            return False  # e.g. the crash seam fired: drop late events
+        job_id = event["item"]
+        job = self.queue.get(job_id)
+        if job is None or job.finished:
+            return False  # late event from a worker declared dead
+        kind = event.get("kind")
+        span = self.job_spans.get(job_id, NULL_SPAN)
+        if kind == "stage":
+            stage = event["stage"]
+            self.coordinator.staging.checkpoint(job_id, stage,
+                                                event.get("payload"))
+            self.queue.advance(job, stage)
+            span.child(stage.lower()).finish()
+        elif kind == "done":
+            self._commit(job, event["payload"])
+            self.queue.advance(job, MATERIALIZE)
+            self.queue.complete(job)
+            self.coordinator.staging.discard(job_id)
+            self.report.completed += 1
+            span.annotate(outcome="done")
+            self.job_spans.pop(job_id, NULL_SPAN).finish()
+        else:
+            error = event.get("error", "unknown worker failure")
+            retryable = bool(event.get("retryable", False))
+            breaker = self._breaker(job)
+            if breaker is not None and retryable:
+                breaker.record_failure()
+            failed = self.queue.fail(job, error, retryable=retryable)
+            if failed.status == DEAD:
+                self.report.dead += 1
+                self.report.errors.append(f"{job_id}: {error}")
+                span.fail(error)
+                self.job_spans.pop(job_id, NULL_SPAN).finish()
+            else:
+                span.annotate(retry=failed.attempts)
+        return True
+
+    def worker_lost(self, key: str, *, budget_error: str | None) -> bool:
+        job = self.queue.get(key)
+        if job is not None and not job.finished:
+            self.queue.release(job)
+            self.report.released += 1
+            self.job_spans.get(key, NULL_SPAN).annotate(released=True)
+        # Jobs move between workers, so the per-worker budget alone
+        # would let one job kill up to n_workers times as many.
+        lost = self.lost[key] = self.lost.get(key, 0) + 1
+        if budget_error is None and lost > self.max_restarts:
+            budget_error = (f"job {key} lost {lost} workers, past the "
+                            f"restart budget ({self.max_restarts})")
+        if budget_error is None:
+            self.report.worker_restarts += 1
+        else:
+            self.report.errors.append(budget_error)
+            self.report.aborted = True
+        return True
+
+    # -- ingest semantics --------------------------------------------------
+
+    def _breaker(self, job: IngestJob):
+        breakers = self.coordinator.manager.breakers
+        return breakers.get(job.source_id) if breakers is not None else None
+
+    def _commit(self, job: IngestJob, payload: UpsertPayload) -> None:
+        """The only store write path: idempotent per-source upsert.
+
+        Re-delivery of the same payload (at-least-once redelivery after
+        a worker or coordinator death) replaces the slice with identical
+        content — effectively exactly-once."""
+        store = self.coordinator.store
+        key = self._key(job)
+        store.upsert(key, job.source_id, payload.entities,
+                     fingerprint=payload.fingerprint)
+        if payload.error_entries:
+            store.replace_errors(key, payload.error_entries,
+                                 for_sources=[job.source_id])
+        breaker = self._breaker(job)
+        if breaker is not None:
+            breaker.record_success()
+
+    def _key(self, job: IngestJob) -> StoreKey:
+        return self.coordinator._keys.get(
+            job.job_id, (job.class_name, job.attribute_ids))
+
+    def _breaker_admits(self, job: IngestJob) -> bool:
+        """Dispatch-time breaker gate.
+
+        Open breaker + a stored slice → keep serving last-known-good
+        data, job completes as kept-stale.  Open breaker with nothing
+        stored → the job fails retryably (backoff), eventually dying to
+        the dead-letter ledger if the source never heals."""
+        breaker = self._breaker(job)
+        if breaker is None or breaker.allow():
+            return True
+        store = self.coordinator.store
+        key = self._key(job)
+        mat = store.materialization(key)
+        slice_exists = mat is not None and job.source_id in mat.slices
+        self.queue.claim(job, -1)
+        if slice_exists:
+            store.mark_slice_stale(key, job.source_id)
+            self.queue.complete(job)
+            self.report.kept_stale += 1
+        else:
+            failed = self.queue.fail(job, f"circuit breaker open for "
+                                     f"{job.source_id!r}", retryable=True)
+            if failed.status == DEAD:
+                self.report.dead += 1
+        return False

@@ -19,9 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ...sources.base import stable_digest
-from ..cluster.sharding import shard_of  # noqa: F401  (re-export: the
-# canonical home moved to core/cluster when the query fleet landed, but
-# `from repro.core.ingest.jobs import shard_of` keeps working.)
 
 #: The staged waterfall, in execution order.
 EXTRACT = "EXTRACT"
@@ -50,8 +47,6 @@ def job_id_for(class_name: str, attribute_ids: frozenset[str],
                source_id: str) -> str:
     """Deterministic job identity: same mapping → same id across runs."""
     return f"{class_name}:{key_digest(class_name, attribute_ids)}:{source_id}"
-
-
 
 
 def next_stage(stage: str) -> str | None:

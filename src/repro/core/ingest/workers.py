@@ -1,21 +1,22 @@
-"""Supervised ingest workers: the stage waterfall a pool worker runs.
+"""Ingest work items: the stage waterfall a fleet worker runs.
 
-A worker owns one *shard* (a stable partition of the source space, see
-:func:`~repro.core.ingest.jobs.shard_of`) and runs the per-job stage
-waterfall, reporting progress to the coordinator as plain-dict events on
-a results queue:
+An ingest :class:`WorkItem` is one journaled job dispatched to
+whichever fleet worker is free; it runs itself inside the fleet's one
+worker loop (:func:`~repro.core.cluster.coordinator.query_worker_loop`)
+with the tenant's :class:`~repro.core.cluster.coordinator.
+QueryWorkerContext` (sources, extractor registry, instance generator,
+fault injection).  Progress goes back to the scheduler as plain-dict
+events on the pool's results queue:
 
-* ``beat`` — liveness heartbeat, emitted when a job is picked up and at
-  every stage boundary (the coordinator stamps receipt time on its own
-  clock, so heartbeat detection works identically for threads and
-  subprocesses, and under :class:`~repro.clock.FakeClock`);
+* ``beat`` — liveness heartbeat, emitted when a job is picked up (the
+  scheduler stamps receipt time on its own clock);
 * ``stage`` — one stage completed, carrying its output payload (the
-  coordinator checkpoints it and journals the transition);
+  ingest run checkpoints it and journals the transition);
 * ``done`` — the job's :class:`UpsertPayload` is ready to commit;
 * ``failed`` — the job raised; ``retryable`` says whether the queue
   should back off and retry or dead-letter it.
 
-Workers *compute*; the coordinator *commits*.  No worker ever touches
+Workers *compute*; the ingest run *commits*.  No worker ever touches
 the :class:`~repro.core.store.SemanticStore` or the journal — that is
 what makes the two pool flavours of :mod:`repro.core.cluster.pool`
 interchangeable: a spawned child works on pickled copies of the sources
@@ -36,42 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ...errors import (CircuitOpenError, PoisonPayloadError, S2SError,
-                       TransientSourceError)
-from ...sources.flaky import KillableWorker, WorkerCrashed
-from ..extractor.extractors import ExtractorRegistry
+from ...errors import CircuitOpenError, S2SError, TransientSourceError
+from ..cluster.coordinator import QueryWorkerContext
 from ..extractor.manager import ExtractionOutcome
 from ..extractor.records import SourceRecordSet
 from ..instances.generator import InstanceGenerator
-from ..mapping.rules import TransformRegistry
 from ..store.snapshot import fingerprint_source
 from .jobs import CLEAN, EXTRACT, MATERIALIZE, STAGE, STAGES, IngestJob
-
-@dataclass
-class WorkerContext:
-    """Everything a worker needs to run stages, picklable as a unit.
-
-    ``extractors`` rides along for thread workers only — subprocess
-    children rebuild a fresh registry (transform lambdas don't pickle).
-    """
-
-    sources: Any  # DataSourceRepository
-    generator: InstanceGenerator
-    killable: KillableWorker | None = None
-    extractors: ExtractorRegistry | None = None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["extractors"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-    def registry(self) -> ExtractorRegistry:
-        if self.extractors is None:
-            self.extractors = ExtractorRegistry(TransformRegistry())
-        return self.extractors
 
 
 @dataclass
@@ -85,6 +57,16 @@ class WorkItem:
     entries: list  # list[MappingEntry]
     resume_stage: str | None = None
     resume_payload: Any = None
+    request_id: str = ""
+    tenant: str = "default"
+
+    @property
+    def key(self) -> str:
+        """The item's identity within its ingest run: the job id."""
+        return self.job["job_id"]
+
+    def run(self, worker: int, ctx, emit, **options) -> None:
+        run_item(worker, self, ctx, emit, **options)
 
 
 @dataclass
@@ -116,7 +98,7 @@ class UpsertPayload:
 
 
 def execute_stage(stage: str, job: IngestJob, item: WorkItem, payload: Any,
-                  ctx: WorkerContext, *, cancel: Any = None,
+                  ctx: QueryWorkerContext, *, cancel: Any = None,
                   in_subprocess: bool = False) -> Any:
     """Run one stage of one job; returns the stage's output payload."""
     if ctx.killable is not None:
@@ -157,61 +139,40 @@ def execute_stage(stage: str, job: IngestJob, item: WorkItem, payload: Any,
     raise S2SError(f"unknown ingest stage {stage!r}")
 
 
-def run_item(shard: int, item: WorkItem, ctx: WorkerContext, emit, *,
+def run_item(shard: int, item: WorkItem, ctx, emit, *,
              cancel: Any = None, in_subprocess: bool = False) -> None:
     """Run one work item's remaining stages, emitting progress events.
 
-    ``emit`` receives plain dicts.  :class:`WorkerCrashed` propagates —
-    the caller's loop dies with it, which is the point."""
+    ``emit`` receives plain dicts tagged with ``shard`` (the worker),
+    ``request_id`` and ``item`` (the job id).  :class:`WorkerCrashed`
+    propagates — the caller's loop dies with it, which is the point."""
     job = IngestJob.from_dict(item.job)
-    emit({"kind": "beat", "shard": shard, "job_id": job.job_id})
+    ctx = ctx.for_tenant(item.tenant)
+
+    def event(kind: str, **fields) -> None:
+        emit({"kind": kind, "shard": shard, "request_id": item.request_id,
+              "item": job.job_id, **fields})
+
+    event("beat")
     if item.resume_stage is not None:
         start = STAGES.index(item.resume_stage) + 1
         payload = item.resume_payload
     else:
-        start = STAGES.index(job.stage) if job.stage in STAGES else 0
-        payload = None
-        if start > 0:
-            # The journal says earlier stages completed but no intact
-            # checkpoint survived: fall back to the top of the waterfall.
-            start = 0
+        # Whatever stage the journal says completed, with no intact
+        # checkpoint the only safe resume point is the top.
+        start, payload = 0, None
     try:
         for stage in STAGES[start:]:
             payload = execute_stage(stage, job, item, payload, ctx,
                                     cancel=cancel,
                                     in_subprocess=in_subprocess)
             if stage == MATERIALIZE:
-                emit({"kind": "done", "shard": shard, "job_id": job.job_id,
-                      "payload": payload})
+                event("done", payload=payload)
             else:
-                emit({"kind": "stage", "shard": shard, "job_id": job.job_id,
-                      "stage": stage, "payload": payload})
-    except (TransientSourceError, CircuitOpenError) as exc:
-        emit({"kind": "failed", "shard": shard, "job_id": job.job_id,
-              "stage": job.stage, "error": str(exc), "retryable": True})
-    except PoisonPayloadError as exc:
-        emit({"kind": "failed", "shard": shard, "job_id": job.job_id,
-              "stage": job.stage, "error": str(exc), "retryable": False})
+                event("stage", stage=stage, payload=payload)
     except S2SError as exc:
-        emit({"kind": "failed", "shard": shard, "job_id": job.job_id,
-              "stage": job.stage, "error": str(exc), "retryable": False})
-
-
-def worker_loop(shard: int, inbox, results, ctx: WorkerContext, *,
-                cancel: Any = None, in_subprocess: bool = False) -> None:
-    """The worker main loop: drain the inbox until the None sentinel.
-
-    Shared verbatim by thread and subprocess workers; only the queue
-    implementations and the kill mechanism differ."""
-    while True:
-        item = inbox.get()
-        if item is None:
-            return
-        try:
-            run_item(shard, item, ctx, results.put, cancel=cancel,
-                     in_subprocess=in_subprocess)
-        except WorkerCrashed:
-            # Simulated sudden death: exit the loop without reporting
-            # anything — no failure event, no further heartbeats.  The
-            # supervisor must notice on its own.
-            return
+        # Transient and breaker errors back off and retry; anything else
+        # (a poison payload, a mapping error) goes to the dead letters.
+        event("failed", stage=job.stage, error=str(exc),
+              retryable=isinstance(exc, (TransientSourceError,
+                                         CircuitOpenError)))

@@ -157,12 +157,20 @@ class DeltaRefresher:
                      force: bool = False) -> DeltaPlan:
         """Cheap-probe diff of one materialization, with no side effects.
 
-        The same verdict logic :meth:`refresh_one` applies inline, but
-        read-only: nothing is tombstoned, marked stale or extracted.
-        The ingest pipeline plans its EXTRACT jobs from this, so an
-        unchanged web source never even enqueues work."""
-        plan = DeltaPlan()
+        The same verdicts :meth:`refresh_one` acts on, but read-only:
+        nothing is tombstoned, marked stale or extracted.  The ingest
+        pipeline plans its EXTRACT jobs from this, so an unchanged web
+        source never even enqueues work."""
         schema = self.manager.obtain_extraction_schema(mat.required)
+        return self._diff(mat, schema, force)
+
+    def _diff(self, mat: Materialization, schema: ExtractionSchema,
+              force: bool, span=NULL_SPAN) -> DeltaPlan:
+        """The per-source verdicts, each recorded as a ``source`` child
+        of ``span``: a breaker-open source with a slice is kept stale
+        (don't even knock), a matching fingerprint is unchanged, and
+        anything else changed."""
+        plan = DeltaPlan()
         current_sources = set(schema.by_source)
         plan.removed = sorted(set(mat.slices) - current_sources)
         open_sources = (set(self.manager.breakers.open_sources())
@@ -170,16 +178,18 @@ class DeltaRefresher:
         for source_id in sorted(current_sources):
             slice_ = mat.slices.get(source_id)
             if source_id in open_sources and slice_ is not None:
-                plan.kept_stale.append(source_id)
-                continue
-            fingerprint = self._fingerprint(source_id)
-            plan.fingerprints[source_id] = fingerprint
-            if (not force and slice_ is not None and not slice_.stale
-                    and fingerprint is not None
-                    and fingerprint == slice_.fingerprint):
-                plan.unchanged.append(source_id)
-                continue
-            plan.changed.append(source_id)
+                verdict, bucket = "breaker-open", plan.kept_stale
+            else:
+                fingerprint = self._fingerprint(source_id)
+                plan.fingerprints[source_id] = fingerprint
+                if (not force and slice_ is not None and not slice_.stale
+                        and fingerprint is not None
+                        and fingerprint == slice_.fingerprint):
+                    verdict, bucket = "unchanged", plan.unchanged
+                else:
+                    verdict, bucket = "changed", plan.changed
+            bucket.append(source_id)
+            span.child("source", source=source_id, verdict=verdict).finish()
         return plan
 
     # -- the delta algorithm -------------------------------------------
@@ -209,47 +219,25 @@ class DeltaRefresher:
     def _refresh_under(self, mat: Materialization, key, force: bool,
                        result: RefreshResult, root) -> None:
         schema = self.manager.obtain_extraction_schema(mat.required)
-        current_sources = set(schema.by_source)
+        with root.child("diff", sources=len(schema.by_source)) as diff_span:
+            delta = self._diff(mat, schema, force, diff_span)
+            diff_span.annotate(changed=len(delta.changed),
+                               unchanged=len(delta.unchanged),
+                               kept_stale=len(delta.kept_stale))
 
         # Sources that left the mapping: their data is gone for good.
-        for source_id in sorted(set(mat.slices) - current_sources):
+        for source_id in delta.removed:
             self.store.tombstone(key, source_id)
-            result.removed.append(source_id)
+        # Breaker open: keep serving the last-known-good slice, stale.
+        for source_id in delta.kept_stale:
+            self.store.mark_slice_stale(key, source_id)
+        result.removed.extend(delta.removed)
+        result.kept_stale.extend(delta.kept_stale)
+        result.unchanged.extend(delta.unchanged)
 
-        open_sources = (set(self.manager.breakers.open_sources())
-                        if self.manager.breakers is not None else set())
-        fingerprints: dict[str, str | None] = {}
-        changed: list[str] = []
-        with root.child("diff", sources=len(current_sources)) as diff_span:
-            for source_id in sorted(current_sources):
-                slice_ = mat.slices.get(source_id)
-                if source_id in open_sources and slice_ is not None:
-                    # Breaker open: don't even knock — keep serving the
-                    # last-known-good slice, marked stale.
-                    self.store.mark_slice_stale(key, source_id)
-                    result.kept_stale.append(source_id)
-                    diff_span.child("source", source=source_id,
-                                    verdict="breaker-open").finish()
-                    continue
-                fingerprint = self._fingerprint(source_id)
-                fingerprints[source_id] = fingerprint
-                if (not force and slice_ is not None and not slice_.stale
-                        and fingerprint is not None
-                        and fingerprint == slice_.fingerprint):
-                    result.unchanged.append(source_id)
-                    diff_span.child("source", source=source_id,
-                                    verdict="unchanged").finish()
-                    continue
-                changed.append(source_id)
-                diff_span.child("source", source=source_id,
-                                verdict="changed").finish()
-            diff_span.annotate(changed=len(changed),
-                               unchanged=len(result.unchanged),
-                               kept_stale=len(result.kept_stale))
-
-        if changed:
-            self._extract_delta(mat, key, schema, changed, fingerprints,
-                                result, root)
+        if delta.changed:
+            self._extract_delta(mat, key, schema, delta.changed,
+                                delta.fingerprints, result, root)
         self.store.touch(key)
 
     def _extract_delta(self, mat: Materialization, key,

@@ -76,7 +76,7 @@ class WorkerCrashed(BaseException):
 
 @dataclass(frozen=True)
 class WorkerFault:
-    """One scripted ingest-worker fault.
+    """One scripted fleet-worker fault.
 
     ``action`` is ``"kill"`` (sudden death mid-stage: thread workers
     raise :class:`WorkerCrashed`, subprocess workers ``os._exit``),
@@ -100,10 +100,13 @@ class WorkerFault:
 
 
 class KillableWorker:
-    """Scripted fault injection at ingest stage boundaries.
+    """Scripted fault injection on fleet workers.
 
-    The ingest workers call :meth:`check` before running each stage of
-    each job; the first scheduled :class:`WorkerFault` matching that
+    Every fleet worker calls :meth:`check` before it runs a piece of
+    work: ingest items before each stage of each job (``stage`` is the
+    ingest stage, ``EXTRACT`` … ``MATERIALIZE``), query items once per
+    sub-plan with stage ``"QUERY"`` and the sub-plan's first source.
+    The first scheduled :class:`WorkerFault` matching that
     ``(source_id, stage)`` is consumed and acted on.  Faults are
     consumed at most once, so "kill the worker the first time it
     STAGEs source X" is one fault, and the restarted worker sails

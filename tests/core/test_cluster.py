@@ -69,10 +69,6 @@ class TestSharding:
         ids = [f"source_{i}" for i in range(5)]
         assert partition_sources(ids, 1) == {0: ids}
 
-    def test_ingest_jobs_still_export_shard_of(self):
-        from repro.core.ingest.jobs import shard_of as ingest_shard_of
-        assert ingest_shard_of is shard_of
-
 
 class TestSubschema:
     def _schema(self):
@@ -376,8 +372,8 @@ class TestRepositoryVersion:
 
 
 class TestIngestShims:
-    """The ingest coordinator builds the shared cluster pools (its own
-    pool subclasses and re-exports are gone)."""
+    """Ingest runs on the fleet scheduler (its own pools, worker loop
+    and worker context are gone)."""
 
     @staticmethod
     def _middleware():
@@ -385,14 +381,17 @@ class TestIngestShims:
         return B2BScenario(n_sources=2, n_products=2,
                            seed=7).build_middleware(store=True)
 
-    def test_ingest_pools_fix_their_loop(self, tmp_path):
-        from repro.core.ingest.workers import worker_loop
+    def test_scheduler_pool_runs_the_single_worker_loop(self, tmp_path):
         coordinator = self._middleware().ingest_coordinator(
             str(tmp_path), fleet=FleetConfig(n_workers=1))
-        pool = coordinator._build_pool()
+        scheduler = QueryShardCoordinator(
+            clock=FakeClock(), fleet=coordinator.fleet,
+            context_factory=coordinator.worker_context)
+        pool = scheduler._build_pool()
         assert type(pool) is ThreadWorkerPool
-        assert pool._loop is worker_loop
-        assert pool.name == "ingest-worker"
+        assert pool._loop is query_worker_loop
+        assert pool.name == "fleet-worker"
+        assert pool.ctx.generator is coordinator.generator
         coordinator.close()
 
     def test_ingest_rejects_admission_quotas(self, tmp_path):

@@ -14,11 +14,11 @@ import pytest
 
 from repro.clock import FakeClock
 from repro.config import FleetConfig
+from repro.core.cluster import QueryWorkerContext, query_worker_loop
 from repro.core.cluster.pool import SubprocessWorkerPool, ThreadWorkerPool
 from repro.core.ingest import (CLEAN, EXTRACT, MATERIALIZE, STAGE,
                                IngestJob, StagedBatch, UpsertPayload,
-                               WorkItem, WorkerContext, execute_stage,
-                               job_id_for, run_item, worker_loop)
+                               WorkItem, execute_stage, job_id_for, run_item)
 from repro.core.query.parser import parse_s2sql
 from repro.errors import TransientSourceError
 from repro.sources.flaky import (FlakySource, KillableWorker, WorkerCrashed,
@@ -37,10 +37,12 @@ def world():
 
 
 def make_context(s2s, *, killable=None, with_extractors=True):
-    return WorkerContext(s2s.manager.sources, s2s.query_handler.generator,
-                         killable=killable,
-                         extractors=(s2s.manager.extractors
-                                     if with_extractors else None))
+    return QueryWorkerContext(attributes=None, sources=s2s.manager.sources,
+                              resilience=None,
+                              generator=s2s.query_handler.generator,
+                              killable=killable,
+                              extractors=(s2s.manager.extractors
+                                          if with_extractors else None))
 
 
 def make_item(plan, schema, source_id):
@@ -149,7 +151,9 @@ class TestStageWaterfall:
                 raise TransientSourceError("source is down")
 
         _job, item = make_item(plan, schema, source_id)
-        ctx = WorkerContext(DownRepository(), s2s.query_handler.generator)
+        ctx = QueryWorkerContext(attributes=None, sources=DownRepository(),
+                                 resilience=None,
+                                 generator=s2s.query_handler.generator)
         events = []
         run_item(0, item, ctx, events.append)
         failed = [e for e in events if e["kind"] == "failed"]
@@ -235,7 +239,7 @@ class TestThreadWorkerPool:
         _scenario, s2s, plan, schema = world
         source_id = sorted(schema.by_source)[0]
         pool = ThreadWorkerPool(make_context(s2s), n_workers=2,
-                                loop=worker_loop)
+                                loop=query_worker_loop)
         pool.start()
         try:
             _job, item = make_item(plan, schema, source_id)
@@ -251,7 +255,7 @@ class TestThreadWorkerPool:
         killable = KillableWorker([WorkerFault("kill",
                                                source_id=source_id)])
         pool = ThreadWorkerPool(make_context(s2s, killable=killable),
-                                n_workers=1, loop=worker_loop)
+                                n_workers=1, loop=query_worker_loop)
         pool.start()
         try:
             _job, item = make_item(plan, schema, source_id)
@@ -275,7 +279,7 @@ class TestThreadWorkerPool:
         _scenario, s2s, _plan, _schema = world
         with pytest.raises(ValueError):
             ThreadWorkerPool(make_context(s2s), n_workers=0,
-                             loop=worker_loop)
+                             loop=query_worker_loop)
 
 
 class TestSubprocessWorkerPool:
@@ -285,7 +289,7 @@ class TestSubprocessWorkerPool:
         _scenario, s2s, plan, schema = world
         source_id = sorted(schema.by_source)[0]
         pool = SubprocessWorkerPool(make_context(s2s), n_workers=1,
-                                    loop=worker_loop)
+                                    loop=query_worker_loop)
         pool.start()
         try:
             _job, item = make_item(plan, schema, source_id)

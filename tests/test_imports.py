@@ -8,6 +8,7 @@ subprocess, so a cycle shows up whichever package a user imports first.
 
 from __future__ import annotations
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -44,3 +45,38 @@ def test_each_subpackage_imports_in_a_fresh_interpreter():
     failures = {package: run.stderr.strip().splitlines()[-1:]
                 for package, run in runs.items() if run.returncode != 0}
     assert not failures, failures
+
+
+def _imported_modules(path: Path, package: str) -> set[str]:
+    """Absolute names of every module ``path`` imports, relative
+    imports resolved against ``package``."""
+    modules: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")[:len(package.split("."))
+                                           - node.level + 1]
+                base = ".".join(parts + ([base] if base else []))
+            modules.add(base)
+            modules.update(f"{base}.{alias.name}" for alias in node.names)
+    return modules
+
+
+def test_cluster_does_not_import_ingest():
+    """The fleet scheduler serves ingest runs without knowing them: no
+    module of ``repro.core.cluster`` imports ``repro.core.ingest``.
+
+    A static check, because ``repro.core`` imports both packages, so a
+    fresh interpreter cannot tell which one pulled the other in."""
+    cluster_dir = Path(SRC_DIR) / "repro" / "core" / "cluster"
+    offenders = {
+        path.name: sorted(name for name in _imported_modules(
+            path, "repro.core.cluster")
+            if name == "repro.core.ingest"
+            or name.startswith("repro.core.ingest."))
+        for path in sorted(cluster_dir.glob("*.py"))}
+    assert len(offenders) >= 5
+    assert not {name: found for name, found in offenders.items() if found}
